@@ -15,12 +15,14 @@ lint:
 	$(GO) vet ./...
 	$(GO) run ./cmd/seplint .
 
-# Short fuzzing pass over the assembler and the static-analyzer CFG
-# builder; the committed corpus seeds both.
+# Short fuzzing pass over the assembler, the static-analyzer CFG builder,
+# delta snapshots, the translation cache and the artifact decoders; the
+# committed corpora seed them. The same list runs in CI.
 fuzz-smoke:
 	$(GO) test ./internal/asm -run '^$$' -fuzz FuzzAssemble -fuzztime 10s
 	$(GO) test ./internal/staticflow -run '^$$' -fuzz FuzzBuildCFG -fuzztime 10s
 	$(GO) test ./internal/staticflow -run '^$$' -fuzz FuzzVSAResolve -fuzztime 10s
+	$(GO) test ./internal/machine -run '^$$' -fuzz FuzzDeltaRestore -fuzztime 10s
 	$(GO) test ./internal/machine -run '^$$' -fuzz FuzzTranslationInvalidation -fuzztime 10s
 	$(GO) test ./internal/obs -run '^$$' -fuzz FuzzReadJSONL -fuzztime 10s
 	$(GO) test ./internal/witness -run '^$$' -fuzz FuzzWitnessRead -fuzztime 10s
@@ -149,10 +151,12 @@ watch-smoke:
 	@echo "watch-smoke: idempotent re-verification clean, planted leak classified as verdict flip + digest drift"
 
 # Race-detector pass over the concurrent verification engine, the kernel
-# adapter it replicates, the witness store fed from worker results, and the
-# observability counters they share.
+# adapter it replicates, the machine underneath (translation cache, pooled
+# delta buffers), the witness store fed from worker results, the
+# observability counters they share, the watch ledger and the sepfleet
+# coordinator. CI runs the same package list.
 race:
-	$(GO) test -race ./internal/separability/... ./internal/kernel/... ./internal/witness/... ./internal/obs/... ./internal/watch/...
+	$(GO) test -race ./internal/separability/... ./internal/kernel/... ./internal/machine/... ./internal/witness/... ./internal/obs/... ./internal/watch/... ./cmd/sepfleet/...
 
 test:
 	$(GO) test ./...

@@ -190,7 +190,11 @@ func TestServeCyclesAndEndpoints(t *testing.T) {
 			err = json.NewDecoder(resp.Body).Decode(&status)
 			resp.Body.Close()
 		}
-		if err == nil && len(status.Deployments) == 2 && status.Deployments[0].Builds > 0 {
+		// Ready means every deployment has been verified at least once: a
+		// deployment still waiting for its first build reports
+		// healthy=false because it has no verdict yet.
+		if err == nil && len(status.Deployments) == 2 &&
+			status.Deployments[0].Builds > 0 && status.Deployments[1].Builds > 0 {
 			break
 		}
 		if time.Now().After(deadline) {

@@ -23,10 +23,7 @@ type noCheckpoint struct {
 }
 
 func (n noCheckpoint) AbstractDigest(c model.Colour) uint64 {
-	if d, ok := n.Perturbable.(model.Digester); ok {
-		return d.AbstractDigest(c)
-	}
-	return model.DigestString(n.Perturbable.Abstract(c))
+	return model.AbstractDigest(n.Perturbable, c)
 }
 
 func (n noCheckpoint) ClassifyOp(op model.OpID) string {

@@ -2,7 +2,6 @@ package kernel
 
 import (
 	"fmt"
-	"io"
 	"sort"
 	"strconv"
 	"strings"
@@ -15,11 +14,12 @@ import (
 // i: live when the regime holds the CPU, from the save area otherwise.
 func (k *Kernel) RegimePSW(i int) Word {
 	if i == k.current() && machine.IsUser(k.m.PSW()) {
-		return k.m.PSW() & (machine.FlagN | machine.FlagZ | machine.FlagV | machine.FlagC)
+		return k.m.PSW() & ccMask
 	}
-	return k.m.ReadPhys(saveBase(i)+savePSW) &
-		(machine.FlagN | machine.FlagZ | machine.FlagV | machine.FlagC)
+	return k.m.ReadPhys(saveBase(i)+savePSW) & ccMask
 }
+
+const ccMask = machine.FlagN | machine.FlagZ | machine.FlagV | machine.FlagC
 
 // InputVec is one external stimulus: words delivered to named input-sink
 // devices at this time step.
@@ -55,9 +55,15 @@ type Adapter struct {
 	// PerturbWords bounds how many words each perturbation touches.
 	PerturbWords int
 
-	// phi caches per-regime Φ digests during delta checkpoints; built
-	// lazily on first Checkpoint (see phicache.go).
-	phi *phiCache
+	// phiWords and phiFields are walkPhi's reusable Φ^c vector; phiText
+	// is Abstract's reusable render buffer.
+	phiWords  []Word
+	phiFields []phiField
+	phiText   []byte
+
+	// foot maps RAM words to the regimes whose Φ reads them, for
+	// DirtyColours; built lazily on first Checkpoint (see dirty.go).
+	foot *phiFootprint
 }
 
 // KernelColour is returned by Colour for states where the next operation
@@ -185,119 +191,161 @@ func (a *Adapter) CurrentOutput() model.Output {
 	return ov
 }
 
-// phiSink is the common subset of strings.Builder and model.Digest64 that
-// the Φ renderer writes through: feeding the identical byte stream to
-// either guarantees AbstractDigest is exactly the FNV-1a hash of the
-// string Abstract returns.
-type phiSink interface {
-	io.Writer
-	WriteString(s string) (int, error)
-	WriteByte(b byte) error
+// Φ^c is computed by one walk (walkPhi) over the fields the regime can
+// observe, filling a reusable word vector. AbstractDigest hashes the words;
+// Abstract renders the same words as the canonical text. Both views are
+// therefore functions of the identical vector, and the vector determines
+// the text exactly: every field's position is fixed by the configuration,
+// except the two variable-length parts, which the walk frames with their
+// lengths (a device's state length, a channel's read count).
+
+// phiKind says how a field of the Φ^c vector renders.
+type phiKind uint8
+
+const (
+	phiRegs phiKind = iota // the phiHead words
+	phiMem                 // the partition, word by word
+	phiDev                 // an owned device: two length words, then its state
+	phiFree                // a sent-on channel: its free space
+	phiRead                // a received-on channel: read count, then the words
+)
+
+// phiField is one field of the Φ^c vector: its words are the vector span
+// from the previous field's end to end.
+type phiField struct {
+	kind  phiKind
+	label string // device or channel name
+	end   int
 }
 
-// hexWord appends a word as four hex digits without fmt overhead (Abstract
-// is the hot path of randomized checking).
-func hexWord(b phiSink, w Word) {
-	const digits = "0123456789abcdef"
-	b.WriteByte(digits[w>>12&0xF])
-	b.WriteByte(digits[w>>8&0xF])
-	b.WriteByte(digits[w>>4&0xF])
-	b.WriteByte(digits[w&0xF])
+// phiHead names the leading fixed words of the vector in order; pad
+// selects four hex digits, otherwise minimal hex.
+var phiHead = [...]struct {
+	name string
+	pad  bool
+}{
+	{"r0", true}, {"r1", true}, {"r2", true}, {"r3", true}, {"r4", true}, {"r5", true},
+	{"sp", true}, {"pc", true}, {"cc", false}, {"st", false}, {"pend", true}, {"ipl", false},
 }
 
-// Abstract implements model.SharedSystem: Φ^c as a canonical string.
-func (a *Adapter) Abstract(c model.Colour) string {
-	var b strings.Builder
-	a.renderPhi(c, &b)
-	return b.String()
-}
-
-// AbstractDigest implements model.Digester: the FNV-1a 64-bit digest of
-// the canonical Φ^c encoding, streamed without materializing the string.
-// This is the comparison the checkers' hot paths use; both views render
-// through the same code path, so they hash the same bytes by construction.
-// During a delta checkpoint the digest is served from the per-regime cache
-// when provably fresh (see phicache.go); the full rendering stays the
-// oracle, so the returned value is identical either way.
-func (a *Adapter) AbstractDigest(c model.Colour) uint64 {
-	if dig, ok := a.cachedDigest(c); ok {
-		return dig
-	}
-	d := model.NewDigest64()
-	a.renderPhi(c, d)
-	dig := d.Sum64()
-	a.storeDigest(c, dig)
-	return dig
-}
-
-// renderPhi writes the canonical Φ^c encoding of the current state into b.
-func (a *Adapter) renderPhi(c model.Colour, b phiSink) {
+// walkPhi fills the adapter's reusable vector with the words of Φ^c for
+// regime i and returns it; a.phiFields marks its fields.
+func (a *Adapter) walkPhi(i int) []Word {
 	k := a.K
-	i := k.RegimeIndex(string(c))
-	if i < 0 {
-		return
-	}
+	m := k.m
 	r := k.cfg.Regimes[i]
+	w, fs := a.phiWords[:0], a.phiFields[:0]
 
 	// Register file and control state, as the regime would observe it.
-	for reg := 0; reg < 6; reg++ {
-		fmt.Fprintf(b, "r%d=%04x;", reg, k.RegimeReg(i, reg))
+	for reg := 0; reg < 8; reg++ {
+		w = append(w, k.RegimeReg(i, reg))
 	}
-	fmt.Fprintf(b, "sp=%04x;pc=%04x;cc=%x;", k.RegimeReg(i, machine.RegSP),
-		k.RegimeReg(i, machine.RegPC), k.RegimePSW(i))
 	sb := saveBase(i)
-	fmt.Fprintf(b, "st=%x;pend=%04x;ipl=%x;", k.m.ReadPhys(sb+saveState),
-		k.m.ReadPhys(sb+savePending), k.m.ReadPhys(sb+saveIPL))
+	w = append(w, k.RegimePSW(i), m.ReadPhys(sb+saveState), m.ReadPhys(sb+savePending),
+		m.ReadPhys(sb+saveIPL))
+	fs = append(fs, phiField{kind: phiRegs, end: len(w)})
 
-	// The partition, word by word.
-	if builder, ok := b.(*strings.Builder); ok {
-		builder.Grow(int(r.Size)*4 + 64)
-	}
-	b.WriteString("mem=")
 	for off := Word(0); off < r.Size; off++ {
-		hexWord(b, k.m.ReadPhys(r.Base+off))
+		w = append(w, m.ReadPhys(r.Base+off))
 	}
-	b.WriteByte(';')
+	fs = append(fs, phiField{kind: phiMem, end: len(w)})
 
-	// Owned devices.
 	for _, d := range r.Devices {
-		b.WriteString("dev:")
-		b.WriteString(d.Name())
-		b.WriteByte('=')
-		for _, w := range d.SnapshotState() {
-			hexWord(b, w)
-		}
-		b.WriteByte(';')
+		st := d.SnapshotState()
+		w = append(append(w, Word(len(st)>>16), Word(len(st))), st...)
+		fs = append(fs, phiField{phiDev, d.Name(), len(w)})
 	}
 
 	// Channel views: what this regime could learn via SEND/RECV/POLL.
 	for ci, ch := range k.cfg.Channels {
 		base := k.chanBase(ci)
-		capa := k.m.ReadPhys(base + 3)
-		switch string(c) {
+		capa := m.ReadPhys(base + 3)
+		switch r.Name {
 		case ch.From:
 			// The sender observes only the free space.
-			fmt.Fprintf(b, "ch:%s:free=%d;", ch.Name, capa-k.m.ReadPhys(base+2))
+			w = append(w, capa-m.ReadPhys(base+2))
+			fs = append(fs, phiField{phiFree, ch.Name, len(w)})
 		case ch.To:
+			buf, head, cnt := base+8, m.ReadPhys(base+0), m.ReadPhys(base+2)
 			if k.cfg.CutChannels {
-				cnt := k.m.ReadPhys(base + 6)
-				head := k.m.ReadPhys(base + 4)
-				fmt.Fprintf(b, "ch:%s:rd=%d:", ch.Name, cnt)
-				for j := Word(0); j < cnt; j++ {
-					hexWord(b, k.m.ReadPhys(base+8+capa+(head+j)%capa))
-				}
-				b.WriteByte(';')
-			} else {
-				cnt := k.m.ReadPhys(base + 2)
-				head := k.m.ReadPhys(base + 0)
-				fmt.Fprintf(b, "ch:%s:rd=%d:", ch.Name, cnt)
-				for j := Word(0); j < cnt; j++ {
-					hexWord(b, k.m.ReadPhys(base+8+(head+j)%capa))
-				}
-				b.WriteByte(';')
+				buf, head, cnt = base+8+capa, m.ReadPhys(base+4), m.ReadPhys(base+6)
 			}
+			w = append(w, cnt)
+			for j := Word(0); j < cnt; j++ {
+				w = append(w, m.ReadPhys(buf+(head+j)%capa))
+			}
+			fs = append(fs, phiField{phiRead, ch.Name, len(w)})
 		}
 	}
+	a.phiWords, a.phiFields = w, fs
+	return w
+}
+
+// Abstract implements model.SharedSystem: Φ^c as a canonical string,
+// rendered from the vector AbstractDigest hashes.
+func (a *Adapter) Abstract(c model.Colour) string {
+	i := a.K.RegimeIndex(string(c))
+	if i < 0 {
+		return ""
+	}
+	w := a.walkPhi(i)
+	b := a.phiText[:0]
+	start := 0
+	for _, f := range a.phiFields {
+		fw := w[start:f.end]
+		start = f.end
+		switch f.kind {
+		case phiRegs:
+			for j, h := range phiHead {
+				b = append(append(b, h.name...), '=')
+				if h.pad {
+					b = appendHex(b, fw[j:j+1])
+				} else {
+					b = strconv.AppendUint(b, uint64(fw[j]), 16)
+				}
+				b = append(b, ';')
+			}
+		case phiMem:
+			b = append(appendHex(append(b, "mem="...), fw), ';')
+		case phiDev:
+			b = append(append(append(b, "dev:"...), f.label...), '=')
+			b = append(appendHex(b, fw[2:]), ';')
+		case phiFree:
+			b = append(append(append(b, "ch:"...), f.label...), ":free="...)
+			b = append(strconv.AppendUint(b, uint64(fw[0]), 10), ';')
+		case phiRead:
+			b = append(append(append(b, "ch:"...), f.label...), ":rd="...)
+			b = append(strconv.AppendUint(b, uint64(fw[0]), 10), ':')
+			b = append(appendHex(b, fw[1:]), ';')
+		}
+	}
+	a.phiText = b
+	return string(b)
+}
+
+// AbstractDigest implements model.Digester: a 64-bit hash of the Φ^c
+// vector, absorbed one word at a time with no text and no per-call
+// buffers. Every absorb step (xor, multiply by an odd constant, xorshift)
+// is a bijection of the hash state, so vectors that differ in one word
+// never collide. The constants are fixed: witnesses persist digests.
+func (a *Adapter) AbstractDigest(c model.Colour) uint64 {
+	h := uint64(0xcbf29ce484222325)
+	if i := a.K.RegimeIndex(string(c)); i >= 0 {
+		for _, x := range a.walkPhi(i) {
+			h = (h ^ uint64(x)) * 0x9e3779b97f4a7c15
+			h ^= h >> 32
+		}
+	}
+	return h
+}
+
+// appendHex appends each word as four lower-case hex digits.
+func appendHex(b []byte, ws []Word) []byte {
+	const digits = "0123456789abcdef"
+	for _, w := range ws {
+		b = append(b, digits[w>>12], digits[w>>8&0xF], digits[w>>4&0xF], digits[w&0xF])
+	}
+	return b
 }
 
 // ClassifyOp implements model.OpClassifier: collapse OpIDs (which embed
@@ -329,44 +377,30 @@ func (a *Adapter) ExtractInput(c model.Colour, i model.Input) string {
 	if i == nil {
 		return ""
 	}
-	iv := i.(InputVec)
-	var names []string
-	for name := range iv {
-		if a.owner[name] == c {
-			names = append(names, name)
-		}
-	}
-	sort.Strings(names)
-	var b strings.Builder
-	for _, name := range names {
-		fmt.Fprintf(&b, "%s=", name)
-		for _, w := range iv[name] {
-			fmt.Fprintf(&b, "%04x", w)
-		}
-		b.WriteByte(';')
-	}
-	return b.String()
+	return a.extract(c, i.(InputVec))
 }
 
 // ExtractOutput implements model.SharedSystem.
 func (a *Adapter) ExtractOutput(c model.Colour, o model.Output) string {
-	ov := o.(OutputVec)
+	return a.extract(c, o.(OutputVec))
+}
+
+// extract renders c's entries of a device-name vector as
+// "name=<hex words>;" in name order.
+func (a *Adapter) extract(c model.Colour, vec map[string][]Word) string {
 	var names []string
-	for name := range ov {
+	for name := range vec {
 		if a.owner[name] == c {
 			names = append(names, name)
 		}
 	}
 	sort.Strings(names)
-	var b strings.Builder
+	var b []byte
 	for _, name := range names {
-		fmt.Fprintf(&b, "%s=", name)
-		for _, w := range ov[name] {
-			fmt.Fprintf(&b, "%04x", w)
-		}
-		b.WriteByte(';')
+		b = append(append(b, name...), '=')
+		b = append(appendHex(b, vec[name]), ';')
 	}
-	return b.String()
+	return string(b)
 }
 
 // Clone implements model.Replicable: it builds a fresh machine carrying

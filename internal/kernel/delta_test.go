@@ -23,9 +23,7 @@ func mutateAdapter(a *kernel.Adapter, rng *rand.Rand) {
 	}
 }
 
-// abstractAll renders the full per-colour Φ table; it goes through
-// renderPhi, never the digest cache, so it is the ground truth the cached
-// digests must agree with.
+// abstractAll renders the full per-colour Φ table.
 func abstractAll(a *kernel.Adapter) map[model.Colour]string {
 	out := map[model.Colour]string{}
 	for _, c := range a.Colours() {
@@ -73,28 +71,18 @@ func TestCheckpointRollbackMatchesRestore(t *testing.T) {
 	}
 }
 
-// TestIncrementalDigestMatchesOracle pins the digest cache against its
-// oracle: at every point of a checkpointed random walk, AbstractDigest
-// (which may serve a cached, incrementally-validated value) must equal the
-// FNV digest of a freshly rendered Φ string.
+// TestIncrementalDigestMatchesOracle holds AbstractDigest to the Φ digest
+// contract (phiOracle) at every point of a checkpointed random walk:
+// before a checkpoint, while mutating under it, and after each rollback
+// and release, so digests taken under an active delta behave exactly like
+// digests taken without one.
 func TestIncrementalDigestMatchesOracle(t *testing.T) {
 	a := adapterSystem(t)
 	rng := rand.New(rand.NewSource(23))
 	a.Randomize(rng)
-	colours := a.Colours()
+	o := newPhiOracle(t)
 
-	check := func(step string) {
-		t.Helper()
-		for _, c := range colours {
-			got := a.AbstractDigest(c)
-			want := model.DigestString(a.Abstract(c))
-			if got != want {
-				t.Fatalf("%s: AbstractDigest(%s) = %#x, oracle = %#x", step, c, got, want)
-			}
-		}
-	}
-
-	check("before checkpoint")
+	o.observe(a, "before checkpoint")
 	for round := 0; round < 6; round++ {
 		cp := a.Checkpoint()
 		if cp == nil {
@@ -104,15 +92,15 @@ func TestIncrementalDigestMatchesOracle(t *testing.T) {
 			for i := 0; i < 25; i++ {
 				mutateAdapter(a, rng)
 				if i%5 == 0 {
-					check(fmt.Sprintf("round %d sub %d step %d", round, sub, i))
+					o.observe(a, fmt.Sprintf("round %d sub %d step %d", round, sub, i))
 				}
 			}
-			check(fmt.Sprintf("round %d sub %d before rollback", round, sub))
+			o.observe(a, fmt.Sprintf("round %d sub %d before rollback", round, sub))
 			a.Rollback(cp)
-			check(fmt.Sprintf("round %d sub %d after rollback", round, sub))
+			o.observe(a, fmt.Sprintf("round %d sub %d after rollback", round, sub))
 		}
 		a.Release(cp)
-		check(fmt.Sprintf("round %d after release", round))
+		o.observe(a, fmt.Sprintf("round %d after release", round))
 		for i := 0; i < 5; i++ {
 			mutateAdapter(a, rng)
 		}

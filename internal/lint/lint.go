@@ -34,9 +34,10 @@
 //   - tc-host-only: the basic-block translation cache is host-side
 //     acceleration state, invisible to the modelled machine. Guest-visible
 //     read-out paths — Snapshot, Encode, Hash, Equal, Abstract,
-//     AbstractDigest, renderPhi — must never reference it: a cache that
-//     leaked into a snapshot or a Φ digest would make verification verdicts
-//     depend on execution strategy instead of machine state.
+//     AbstractDigest and walkPhi, the Φ walk both of them read — must
+//     never reference it: a cache that leaked into a snapshot or a Φ
+//     digest would make verification verdicts depend on execution
+//     strategy instead of machine state.
 //
 //   - trap-summary-sync: the per-trap footprint table
 //     (internal/kernel/footprint.go) is how the static analyzer models
@@ -107,7 +108,7 @@ var tracerFields = map[string]bool{"tracer": true, "events": true}
 // invalidate it — so they are deliberately absent.)
 var tcReadoutFuncs = map[string]bool{
 	"Snapshot": true, "Encode": true, "Hash": true, "Equal": true,
-	"Abstract": true, "AbstractDigest": true, "renderPhi": true,
+	"Abstract": true, "AbstractDigest": true, "walkPhi": true,
 }
 
 // tcIdents are identifiers that belong to the translation cache: its field,

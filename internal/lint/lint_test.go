@@ -232,6 +232,23 @@ func (a *A) TranslationEnabled() bool { return a.enabled }
 	if len(diags) != 1 || diags[0].Rule != "tc-host-only" {
 		t.Fatalf("diags = %v, want one tc-host-only in AbstractDigest", diags)
 	}
+
+	// The Φ walk that both Abstract and AbstractDigest read is policed too.
+	root3 := t.TempDir()
+	write(t, root3, "internal/kernel/phi.go", `package kernel
+type M struct{ tc *int }
+type A struct{ m *M }
+func (a *A) walkPhi(i int) []uint16 {
+	if a.m.tc != nil {
+		return nil
+	}
+	return []uint16{uint16(i)}
+}
+`)
+	diags = runLint(t, root3)
+	if len(diags) != 1 || diags[0].Rule != "tc-host-only" || !strings.Contains(diags[0].Msg, "walkPhi") {
+		t.Fatalf("diags = %v, want one tc-host-only in walkPhi", diags)
+	}
 }
 
 // TestRepositoryClean is the invariant itself: the real tree has zero

@@ -99,7 +99,6 @@ func (m *Machine) DeltaSnapshot() *Delta {
 	}
 	d.saveCPU(m)
 	m.delta = d
-	m.deltaGen++
 	return d
 }
 
@@ -126,8 +125,8 @@ func (m *Machine) DeltaRestore(d *Delta) {
 		if d.devTouched[i] {
 			m.devices[i].RestoreState(d.devOld[i])
 			// The device is back at its snapshot-point state, so its
-			// version rewinds too — digest caches keyed on versions then
-			// recognise checkpoint-time state as fresh again.
+			// version rewinds too — callers comparing versions against
+			// checkpoint time then see the device as untouched again.
 			m.devVer[i] = d.devVerAt[i]
 			d.devTouched[i] = false
 		}
@@ -143,7 +142,6 @@ func (m *Machine) EndDelta(d *Delta) {
 	}
 	if m.delta == d {
 		m.delta = nil
-		m.deltaGen++
 	}
 	d.owner = nil
 	deltaPool.Put(d)
@@ -152,12 +150,6 @@ func (m *Machine) EndDelta(d *Delta) {
 // DeltaActive reports whether a delta checkpoint is currently tracking
 // writes.
 func (m *Machine) DeltaActive() bool { return m.delta != nil }
-
-// DeltaGen returns the delta generation counter: it advances whenever
-// tracking starts or stops, so a cached value derived under one checkpoint
-// can never be mistaken as fresh under another (writes between checkpoints
-// are not journaled).
-func (m *Machine) DeltaGen() uint64 { return m.deltaGen }
 
 // DeltaAddrs returns the RAM addresses written since the snapshot point or
 // the most recent DeltaRestore (each distinct address at least once; no

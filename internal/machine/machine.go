@@ -37,7 +37,6 @@ type Machine struct {
 	delta      *Delta
 	dirtyMark  []uint32
 	dirtyEpoch uint32
-	deltaGen   uint64
 
 	// Translation-cache state (see translate.go). tc is HOST state only:
 	// Snapshot/Restore and every Φ rendering ignore it (lint-enforced).

@@ -112,25 +112,26 @@ type Replicable interface {
 }
 
 // Digester is optionally implemented by systems that can compute a 64-bit
-// digest of Φ^c(s) without materializing the canonical string. The digest
-// MUST be the FNV-1a hash of exactly the bytes Abstract(c) would produce
-// (use Digest64 to stream them), so that digest equality coincides with
-// string equality up to hash collisions. The checkers compare digests on
-// their hot paths and re-derive full strings only when a violation needs a
+// digest of Φ^c(s) without materializing the canonical string. The
+// contract, for any one colour c: two states' digests are equal exactly
+// when their Abstract(c) strings are equal, up to 64-bit hash collisions.
+// The digest need not hash the string itself, but it must use fixed
+// constants and no per-process seed, because witnesses persist digests
+// and replay them in later runs. The checkers compare digests on their hot
+// paths and re-derive full strings only when a violation needs a
 // human-readable counterexample.
 type Digester interface {
 	AbstractDigest(c Colour) uint64
 }
 
-// FNV-1a 64-bit parameters (FNV is the digest of record for Φ comparison:
-// fast, allocation-free, and trivially streamable).
+// FNV-1a 64-bit parameters (the digest of Abstract strings for systems
+// without a Digester, and of extracts, OpIDs and colours in violations).
 const (
 	fnvOffset64 uint64 = 14695981039346656037
 	fnvPrime64  uint64 = 1099511628211
 )
 
-// DigestString returns the FNV-1a 64-bit digest of s; it is the reference
-// implementation AbstractDigest must agree with.
+// DigestString returns the FNV-1a 64-bit digest of s.
 func DigestString(s string) uint64 {
 	h := fnvOffset64
 	for i := 0; i < len(s); i++ {
@@ -148,46 +149,6 @@ func AbstractDigest(sys SharedSystem, c Colour) uint64 {
 	}
 	return DigestString(sys.Abstract(c))
 }
-
-// Digest64 is a streaming FNV-1a 64-bit hasher. It implements io.Writer,
-// io.StringWriter and io.ByteWriter with the same signatures as
-// strings.Builder, so code that renders a canonical Φ encoding can be
-// written once against the common subset and fed either a builder (for the
-// string) or a Digest64 (for the digest), guaranteeing both views hash the
-// same bytes.
-type Digest64 struct{ h uint64 }
-
-// NewDigest64 returns a digest in its initial (offset-basis) state.
-func NewDigest64() *Digest64 { return &Digest64{h: fnvOffset64} }
-
-// Write implements io.Writer; it never fails.
-func (d *Digest64) Write(p []byte) (int, error) {
-	h := d.h
-	for _, b := range p {
-		h = (h ^ uint64(b)) * fnvPrime64
-	}
-	d.h = h
-	return len(p), nil
-}
-
-// WriteString implements io.StringWriter; it never fails.
-func (d *Digest64) WriteString(s string) (int, error) {
-	h := d.h
-	for i := 0; i < len(s); i++ {
-		h = (h ^ uint64(s[i])) * fnvPrime64
-	}
-	d.h = h
-	return len(s), nil
-}
-
-// WriteByte implements io.ByteWriter; it never fails.
-func (d *Digest64) WriteByte(b byte) error {
-	d.h = (d.h ^ uint64(b)) * fnvPrime64
-	return nil
-}
-
-// Sum64 returns the digest of everything written so far.
-func (d *Digest64) Sum64() uint64 { return d.h }
 
 // Checkpoint is an opaque handle to a delta checkpoint taken by a
 // Checkpointer.

@@ -132,14 +132,24 @@ func TestSchedulerSnoopInvisibleToSixConditions(t *testing.T) {
 	}
 }
 
-// The kernel adapter's native AbstractDigest must be exactly the FNV-1a
-// hash of the canonical Abstract string, on randomly sampled reachable
-// states (the adapter state space cannot be enumerated, so this samples
-// the same distribution the randomized checker visits).
+// The kernel adapter's native AbstractDigest must meet the model.Digester
+// contract on randomly sampled reachable states: for each colour, two
+// states share a digest exactly when they share an Abstract string (the
+// adapter state space cannot be enumerated, so this samples the same
+// distribution the randomized checker visits).
 func TestAdapterDigestMatchesAbstract(t *testing.T) {
+	type key struct {
+		c model.Colour
+		d uint64
+	}
 	for _, cut := range []bool{true, false} {
 		sys := build(t, verifysys.ProbePlain, kernel.Leaks{}, cut)
 		rng := rand.New(rand.NewSource(23))
+		byDigest := map[key]string{}
+		byText := map[model.Colour]map[string]uint64{}
+		for _, c := range sys.Colours() {
+			byText[c] = map[string]uint64{}
+		}
 		for trial := 0; trial < 4; trial++ {
 			sys.Randomize(rng)
 			for step := 0; step < 40; step++ {
@@ -149,14 +159,23 @@ func TestAdapterDigestMatchesAbstract(t *testing.T) {
 					sys.ApplyInput(nil)
 				}
 				for _, c := range sys.Colours() {
-					str := sys.Abstract(c)
-					if got, want := sys.AbstractDigest(c), model.DigestString(str); got != want {
-						t.Fatalf("cut=%v colour %s: AbstractDigest %x, FNV(Abstract) %x (len %d)",
-							cut, c, got, want, len(str))
+					str, dig := sys.Abstract(c), sys.AbstractDigest(c)
+					if prev, ok := byDigest[key{c, dig}]; ok && prev != str {
+						t.Fatalf("cut=%v colour %s: digest %x shared by different Abstract strings",
+							cut, c, dig)
 					}
+					if prev, ok := byText[c][str]; ok && prev != dig {
+						t.Fatalf("cut=%v colour %s: one Abstract string digests to %x and %x",
+							cut, c, prev, dig)
+					}
+					byDigest[key{c, dig}] = str
+					byText[c][str] = dig
 				}
 				sys.Step()
 			}
+		}
+		if len(byDigest) < 2*len(sys.Colours()) {
+			t.Fatalf("cut=%v: only %d distinct Φ states sampled", cut, len(byDigest))
 		}
 	}
 }

@@ -90,13 +90,15 @@ type Violation struct {
 	Detail    string
 	Trial     int
 	Step      int
-	// Want and Got are FNV-1a digests of the two encodings whose
-	// disagreement constitutes the violation: the Φ^c digests for the
-	// state-congruence conditions (Meta, 1, 2, 3, 4), and digests of the
-	// compared extracts, OpIDs or colours for conditions 5, 6 and the
-	// scheduling extension. They identify a counterexample across runs
+	// Want and Got are digests of the two encodings whose disagreement
+	// constitutes the violation: the Φ^c digests (model.AbstractDigest:
+	// the system's own Digester, else FNV-1a of Abstract) for the
+	// state-congruence conditions (Meta, 1, 2, 3, 4), and FNV-1a digests
+	// of the compared extracts, OpIDs or colours for conditions 5, 6 and
+	// the scheduling extension. They identify a counterexample across runs
 	// (package witness matches replayed violations on them) without
-	// re-deriving the full canonical strings.
+	// re-deriving the full canonical strings, so a change to a system's
+	// Digester invalidates its stored witnesses.
 	Want, Got uint64
 }
 
@@ -485,7 +487,7 @@ func runTrial(sys model.Perturbable, trial int, opt Options, colours []model.Col
 // checkState verifies every applicable condition for colour c at the
 // system's current state, leaving the system state unchanged.
 //
-// All hot-path Φ comparisons use 64-bit FNV digests (model.AbstractDigest)
+// All hot-path Φ comparisons use 64-bit digests (model.AbstractDigest)
 // rather than the canonical strings; the strings are re-derived — by
 // restoring the relevant states and calling Abstract — only on the cold
 // path where a violation needs a human-readable Detail. A digest collision
