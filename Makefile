@@ -16,14 +16,13 @@ lint:
 	$(GO) run ./cmd/seplint .
 
 # Short fuzzing pass over the assembler, the static-analyzer CFG builder,
-# delta snapshots, the translation cache and the artifact decoders; the
-# committed corpora seed them. The same list runs in CI.
+# delta snapshots and the artifact decoders; the committed corpora seed
+# them. The same list runs in CI.
 fuzz-smoke:
 	$(GO) test ./internal/asm -run '^$$' -fuzz FuzzAssemble -fuzztime 10s
 	$(GO) test ./internal/staticflow -run '^$$' -fuzz FuzzBuildCFG -fuzztime 10s
 	$(GO) test ./internal/staticflow -run '^$$' -fuzz FuzzVSAResolve -fuzztime 10s
 	$(GO) test ./internal/machine -run '^$$' -fuzz FuzzDeltaRestore -fuzztime 10s
-	$(GO) test ./internal/machine -run '^$$' -fuzz FuzzTranslationInvalidation -fuzztime 10s
 	$(GO) test ./internal/obs -run '^$$' -fuzz FuzzReadJSONL -fuzztime 10s
 	$(GO) test ./internal/witness -run '^$$' -fuzz FuzzWitnessRead -fuzztime 10s
 	$(GO) test ./internal/separability -run '^$$' -fuzz FuzzCheckpointResume -fuzztime 10s
@@ -53,10 +52,9 @@ trace-smoke:
 # violation is captured, shrunk and stored, then replay each store from its
 # artifacts alone with -require-shrink — replay must reproduce the recorded
 # condition/colour/digest pair on a freshly built system, and the shrinker
-# must have dropped ops overall. A second replay with -notranslate pins the
-# witnesses to architected state (independent of the translation cache).
-# Artifacts land in witness-smoke/ for CI upload. sepverify exits 0 here:
-# with -leak, catching the leak is the expected outcome.
+# must have dropped ops overall. Artifacts land in witness-smoke/ for CI
+# upload. sepverify exits 0 here: with -leak, catching the leak is the
+# expected outcome.
 witness-smoke:
 	rm -rf witness-smoke
 	$(GO) run ./cmd/sepverify -leak RegisterLeak -seed 99 -witness-dir witness-smoke > witness-smoke-verify.txt 2>&1
@@ -64,8 +62,6 @@ witness-smoke:
 	mv witness-smoke-verify.txt witness-smoke/verify.txt
 	$(GO) run ./cmd/sepwitness -dir witness-smoke/RegisterLeak -require-shrink replay
 	$(GO) run ./cmd/sepwitness -dir witness-smoke/SharedScratch -require-shrink replay
-	$(GO) run ./cmd/sepwitness -dir witness-smoke/RegisterLeak -notranslate replay
-	$(GO) run ./cmd/sepwitness -dir witness-smoke/SharedScratch -notranslate replay
 	@echo "witness-smoke: all witnesses replayed from artifacts"
 
 # Flow-triage smoke (E17): capture a witness store from the RegisterLeak
@@ -151,8 +147,8 @@ watch-smoke:
 	@echo "watch-smoke: idempotent re-verification clean, planted leak classified as verdict flip + digest drift"
 
 # Race-detector pass over the concurrent verification engine, the kernel
-# adapter it replicates, the machine underneath (translation cache, pooled
-# delta buffers), the witness store fed from worker results, the
+# adapter it replicates, the machine underneath (pooled delta buffers),
+# the witness store fed from worker results, the
 # observability counters they share, the watch ledger and the sepfleet
 # coordinator. CI runs the same package list.
 race:

@@ -473,42 +473,8 @@ func BenchmarkE9KernelOverhead(b *testing.B) {
 		}
 		b.ReportMetric(1, "instr/step")
 	})
-	b.Run("native-SM11-interpreted", func(b *testing.B) {
-		m := machine.New(0x1000)
-		m.SetTranslation(false)
-		img := mustImage(b, `
-			.org 0x100
-		loop:
-			ADD #1, R2
-			SUB #1, R3
-			BR loop
-		`)
-		m.LoadImage(img.Org, img.Words)
-		m.SetPC(img.Org)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			m.Step()
-		}
-		b.ReportMetric(1, "instr/step")
-	})
 	b.Run("under-kernel", func(b *testing.B) {
 		sys := core.NewBuilder().
-			RegimeSized("a", `
-				.org 0x40
-			start:
-				ADD #1, R2
-				SUB #1, R3
-				BR start
-			`, 0x200).
-			MustBuild()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			sys.Kernel.Step()
-		}
-	})
-	b.Run("under-kernel-interpreted", func(b *testing.B) {
-		sys := core.NewBuilder().
-			NoTranslate().
 			RegimeSized("a", `
 				.org 0x40
 			start:
@@ -668,7 +634,8 @@ func BenchmarkE18ShardedExhaustive(b *testing.B) {
 	units := float64(states * (1 + inputs))
 
 	start := time.Now()
-	serial := separability.CheckExhaustiveWorkers(build(), 8, 1)
+	serial := separability.CheckExhaustiveOpt(build(),
+		separability.ExhaustiveOptions{MaxViolations: 8, Workers: 1})
 	serialDur := time.Since(start)
 	want := serial.Summary()
 

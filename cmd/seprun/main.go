@@ -81,41 +81,54 @@ yield:
 `
 
 func main() {
-	steps := flag.Int("steps", 50000, "maximum machine cycles to run")
-	cut := flag.Bool("cut", false, "apply the channel-cutting transformation")
-	itrace := flag.Int("itrace", 0, "print the first N executed instructions")
-	slice := flag.Int("slice", 0, "fixed time slice in cycles (0 = run until SWAP)")
-	tracePath := flag.String("trace", "", "write a kernel event trace to this file")
-	traceFormat := flag.String("trace-format", "jsonl",
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the whole command behind main, with its arguments and output
+// streams passed in so tests can drive it. It returns the exit code: 0 on
+// success, 2 on a usage error, 1 on any other failure.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("seprun", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	steps := fs.Int("steps", 50000, "maximum machine cycles to run")
+	cut := fs.Bool("cut", false, "apply the channel-cutting transformation")
+	itrace := fs.Int("itrace", 0, "print the first N executed instructions")
+	slice := fs.Int("slice", 0, "fixed time slice in cycles (0 = run until SWAP)")
+	tracePath := fs.String("trace", "", "write a kernel event trace to this file")
+	traceFormat := fs.String("trace-format", "jsonl",
 		"trace file format: jsonl (one event per line) or chrome (trace_event for chrome://tracing / Perfetto)")
-	metrics := flag.Bool("metrics", false, "dump kernel activity counters in Prometheus text format after the run")
-	notranslate := flag.Bool("notranslate", false, "run the SM11 interpreter without the basic-block translation cache")
+	metrics := fs.Bool("metrics", false, "dump kernel activity counters in Prometheus text format after the run")
 	var chans chanFlags
-	flag.Var(&chans, "chan", "add a channel FROM:TO between regime indexes (repeatable)")
-	flag.Parse()
+	fs.Var(&chans, "chan", "add a channel FROM:TO between regime indexes (repeatable)")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "seprun:", err)
+		return 1
+	}
 
 	// With -trace - the event stream owns stdout; everything else (the
 	// demo banner, the exit report, metrics) moves to stderr so the JSONL
 	// can be piped straight into septrace.
-	out := io.Writer(os.Stdout)
+	out := stdout
 	if *tracePath == "-" {
-		out = os.Stderr
+		out = stderr
 	}
 
 	b := core.NewBuilder()
-	args := flag.Args()
 	var names []string
-	if len(args) == 0 {
+	if fs.NArg() == 0 {
 		b.Regime("sender", demoSender)
 		b.Regime("receiver", demoReceiver)
 		b.Channel("sender", "receiver", 8)
 		names = []string{"sender", "receiver"}
 		fmt.Fprintln(out, "seprun: no programs given; running the built-in sender/receiver demo")
 	} else {
-		for i, path := range args {
+		for i, path := range fs.Args() {
 			src, err := os.ReadFile(path)
 			if err != nil {
-				fatal(err)
+				return fail(err)
 			}
 			name := fmt.Sprintf("r%d", i)
 			names = append(names, name)
@@ -124,10 +137,10 @@ func main() {
 		for _, spec := range chans {
 			var from, to int
 			if _, err := fmt.Sscanf(spec, "%d:%d", &from, &to); err != nil {
-				fatal(fmt.Errorf("bad -chan %q: %w", spec, err))
+				return fail(fmt.Errorf("bad -chan %q: %w", spec, err))
 			}
 			if from < 0 || from >= len(names) || to < 0 || to >= len(names) {
-				fatal(fmt.Errorf("-chan %q references a missing regime", spec))
+				return fail(fmt.Errorf("-chan %q references a missing regime", spec))
 			}
 			b.Channel(names[from], names[to], 16)
 		}
@@ -135,16 +148,13 @@ func main() {
 	if *cut {
 		b.CutChannels()
 	}
-	if *notranslate {
-		b.NoTranslate()
-	}
 	if *slice > 0 {
 		b.WithFixedSlice(*slice)
 	}
 
 	sys, err := b.Build()
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	if *itrace > 0 {
 		left := *itrace
@@ -165,12 +175,12 @@ func main() {
 	// the file (flush / close the JSON array) after it.
 	var finishTrace func() error
 	if *tracePath != "" {
-		w := io.Writer(os.Stdout)
+		w := stdout
 		closeFile := func() error { return nil }
 		if *tracePath != "-" {
 			f, err := os.Create(*tracePath)
 			if err != nil {
-				fatal(err)
+				return fail(err)
 			}
 			w, closeFile = f, f.Close
 		}
@@ -194,7 +204,8 @@ func main() {
 				return closeFile()
 			}
 		default:
-			fatal(fmt.Errorf("unknown -trace-format %q (want jsonl or chrome)", *traceFormat))
+			closeFile()
+			return fail(fmt.Errorf("unknown -trace-format %q (want jsonl or chrome)", *traceFormat))
 		}
 	}
 
@@ -202,7 +213,7 @@ func main() {
 
 	if finishTrace != nil {
 		if err := finishTrace(); err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		fmt.Fprintf(out, "trace written to %s (%s)\n", *tracePath, *traceFormat)
 	}
@@ -210,7 +221,7 @@ func main() {
 	fmt.Fprintf(out, "ran %d cycles (%d machine cycles total)\n", n, sys.Machine.Cycles())
 	if sys.Kernel.Dead() {
 		fmt.Fprintf(out, "KERNEL DIED: %v\n", sys.Kernel.Cause)
-		os.Exit(1)
+		return 1
 	}
 	exitReport(out, sys, names)
 
@@ -220,6 +231,7 @@ func main() {
 		fmt.Fprintln(out, "\nmetrics:")
 		reg.WritePrometheus(out)
 	}
+	return 0
 }
 
 // exitReport prints the per-regime outcome: what each regime did (from the
@@ -254,9 +266,4 @@ func exitReport(out io.Writer, sys *core.System, names []string) {
 			st.InstrPerRegime[i], st.SyscallPerRegime[i],
 			st.SendPerRegime[i], st.RecvPerRegime[i], exit, w)
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "seprun:", err)
-	os.Exit(1)
 }

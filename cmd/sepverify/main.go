@@ -90,8 +90,6 @@ func realMain() int {
 		"merge the shard-result files given as arguments into the combined verdict")
 	metrics := flag.Bool("metrics", false,
 		"collect verifier metrics and dump a throughput report after the run")
-	notranslate := flag.Bool("notranslate", false,
-		"run the SM11 machines without the basic-block translation cache (A/B lever; verdicts are identical either way)")
 	metricsFormat := flag.String("metrics-format", "prom",
 		"registry dump format with -metrics: prom (Prometheus text) or json")
 	progress := flag.Bool("progress", false,
@@ -220,14 +218,14 @@ func realMain() int {
 	status := 0
 	if *all {
 		ok := true
-		if r, err := runOne("", true, opt, true, *notranslate, *witnessDir); err != nil {
+		if r, err := runOne("", true, opt, true, *witnessDir); err != nil {
 			fmt.Fprintln(os.Stderr, "sepverify:", err)
 			return 2
 		} else {
 			ok = r
 		}
 		for _, name := range leakNames() {
-			r, err := runOne(name, true, opt, false, *notranslate, *witnessDir)
+			r, err := runOne(name, true, opt, false, *witnessDir)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "sepverify:", err)
 				return 2
@@ -249,7 +247,7 @@ func realMain() int {
 		if *uncut {
 			expectPass = false
 		}
-		ok, err := runOne(*leak, !*uncut, opt, expectPass, *notranslate, *witnessDir)
+		ok, err := runOne(*leak, !*uncut, opt, expectPass, *witnessDir)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "sepverify:", err)
 			return 2
@@ -277,7 +275,7 @@ func leakNames() []string {
 // runOne verifies one variant: leakName names a planted leak ("" = the
 // honest kernel). With witnessDir set, every distinct violation is
 // captured, shrunk and persisted under a per-variant subdirectory.
-func runOne(leakName string, cut bool, opt separability.Options, expectPass, notranslate bool, witnessDir string) (bool, error) {
+func runOne(leakName string, cut bool, opt separability.Options, expectPass bool, witnessDir string) (bool, error) {
 	name := leakName
 	if name == "" {
 		name = "honest"
@@ -285,21 +283,12 @@ func runOne(leakName string, cut bool, opt separability.Options, expectPass, not
 	if !cut {
 		name += " (uncut)"
 	}
-	spec := verifysys.SpecFor(leakName, cut, notranslate)
+	spec := verifysys.SpecFor(leakName, cut, false)
 	sys, err := verifysys.FromSpec(spec)
 	if err != nil {
 		return false, err
 	}
 	res := separability.CheckRandomized(sys, opt)
-	if opt.Metrics != nil {
-		// Translation-cache counters from the primary machine (replica
-		// machines keep their own; the primary's ratio is representative).
-		ts := sys.K.Machine().TranslationStats()
-		opt.Metrics.Counter("sep_tc_hits_total").Add(ts.Hits)
-		opt.Metrics.Counter("sep_tc_misses_total").Add(ts.Misses)
-		opt.Metrics.Counter("sep_tc_invalidations_total").Add(ts.Invalidations)
-		opt.Metrics.Counter("sep_tc_fallbacks_total").Add(ts.Fallbacks)
-	}
 	verdict := "as expected"
 	good := res.Passed() == expectPass
 	if !good {

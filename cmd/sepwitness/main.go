@@ -35,12 +35,10 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("sepwitness", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	dir := fs.String("dir", "witnesses", "witness artifact directory")
-	notranslate := fs.Bool("notranslate", false,
-		"replay on systems with the translation cache disabled (host-state independence check)")
 	requireShrink := fs.Bool("require-shrink", false,
 		"with replay: additionally fail unless the store's witnesses were shrunk overall")
 	fs.Usage = func() {
-		fmt.Fprintf(stderr, "usage: sepwitness [-dir DIR] [-notranslate] [-require-shrink] <list|show|replay|diff> [args]\n")
+		fmt.Fprintf(stderr, "usage: sepwitness [-dir DIR] [-require-shrink] <list|show|replay|diff> [args]\n")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -64,7 +62,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	case "show":
 		return cmdShow(ws, rest, stdout, stderr)
 	case "replay":
-		return cmdReplay(*dir, ws, rest, *notranslate, *requireShrink, stdout, stderr)
+		return cmdReplay(*dir, ws, rest, *requireShrink, stdout, stderr)
 	case "diff":
 		if len(rest) != 1 {
 			fmt.Fprintln(stderr, "sepwitness: diff needs exactly one other directory")
@@ -145,7 +143,7 @@ func cmdShow(ws []*witness.Witness, ids []string, stdout, stderr io.Writer) int 
 }
 
 func cmdReplay(dir string, ws []*witness.Witness, ids []string,
-	notranslate, requireShrink bool, stdout, stderr io.Writer) int {
+	requireShrink bool, stdout, stderr io.Writer) int {
 
 	sel, ok := selectWitnesses(ws, ids, stderr)
 	if !ok {
@@ -158,11 +156,7 @@ func cmdReplay(dir string, ws []*witness.Witness, ids []string,
 	failures, dropped := 0, 0
 	for _, w := range sel {
 		dropped += w.OrigSteps - len(w.Steps)
-		spec := w.System
-		if notranslate {
-			spec.NoTranslate = true
-		}
-		sys, err := verifysys.FromSpec(spec)
+		sys, err := verifysys.FromSpec(w.System)
 		if err != nil {
 			fmt.Fprintf(stderr, "sepwitness: %s: %v\n", w.ID, err)
 			failures++

@@ -61,9 +61,9 @@ func TestCLIListShowReplayDiff(t *testing.T) {
 		t.Errorf("replay output missing witness %s:\n%s", id, out)
 	}
 
-	// Replay under -notranslate must agree (host-state independence).
-	if code, out, _ = run(t, "-dir", dir, "-notranslate", "replay", id); code != 0 {
-		t.Fatalf("replay -notranslate: code=%d out=%q", code, out)
+	// The retired -notranslate flag is rejected as a usage error.
+	if code, _, _ = run(t, "-dir", dir, "-notranslate", "replay", id); code != 2 {
+		t.Errorf("replay -notranslate: code=%d, want 2", code)
 	}
 
 	// A store diffed against itself agrees; against an empty store it

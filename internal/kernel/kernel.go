@@ -1142,9 +1142,4 @@ func (k *Kernel) FillRegistry(reg *obs.Registry) {
 		reg.Counter("kernel_chan_sends_total" + q).Add(st.SendPerRegime[i])
 		reg.Counter("kernel_chan_recvs_total" + q).Add(st.RecvPerRegime[i])
 	}
-	ts := k.m.TranslationStats()
-	reg.Counter("sep_tc_hits_total").Add(ts.Hits)
-	reg.Counter("sep_tc_misses_total").Add(ts.Misses)
-	reg.Counter("sep_tc_invalidations_total").Add(ts.Invalidations)
-	reg.Counter("sep_tc_fallbacks_total").Add(ts.Fallbacks)
 }

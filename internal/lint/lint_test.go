@@ -194,65 +194,6 @@ func (m *M) tick() {
 	}
 }
 
-func TestTCHostOnly(t *testing.T) {
-	root := t.TempDir()
-	write(t, root, "internal/machine/snap.go", `package machine
-type M struct {
-	ram []uint16
-	tc  *tcache
-}
-type tcache struct{ hits uint64 }
-type Snap struct{ words []uint16 }
-func (m *M) Snapshot() *Snap {
-	_ = m.tc // the cache must never reach a snapshot
-	return &Snap{words: m.ram}
-}
-func (m *M) restoreLike() {
-	m.tc = nil // invalidation outside the read-out family: sanctioned
-}
-`)
-	diags := runLint(t, root)
-	if len(diags) != 1 || diags[0].Rule != "tc-host-only" {
-		t.Fatalf("diags = %v, want one tc-host-only in Snapshot", diags)
-	}
-
-	// Digest paths are policed in every package, kernel included.
-	root2 := t.TempDir()
-	write(t, root2, "internal/kernel/phi.go", `package kernel
-type A struct{ enabled bool }
-func (a *A) AbstractDigest(c string) uint64 {
-	if a.TranslationEnabled() {
-		return 1
-	}
-	return 0
-}
-func (a *A) TranslationEnabled() bool { return a.enabled }
-`)
-	diags = runLint(t, root2)
-	if len(diags) != 1 || diags[0].Rule != "tc-host-only" {
-		t.Fatalf("diags = %v, want one tc-host-only in AbstractDigest", diags)
-	}
-
-	// The Φ walk that both Abstract and AbstractDigest read is policed too.
-	root3 := t.TempDir()
-	write(t, root3, "internal/kernel/phi.go", `package kernel
-type M struct{ tc *int }
-type A struct{ m *M }
-func (a *A) walkPhi(i int) []uint16 {
-	if a.m.tc != nil {
-		return nil
-	}
-	return []uint16{uint16(i)}
-}
-`)
-	diags = runLint(t, root3)
-	if len(diags) != 1 || diags[0].Rule != "tc-host-only" || !strings.Contains(diags[0].Msg, "walkPhi") {
-		t.Fatalf("diags = %v, want one tc-host-only in walkPhi", diags)
-	}
-}
-
-// TestRepositoryClean is the invariant itself: the real tree has zero
-// violations. If this fails, the code — not the linter — regressed.
 // A save slot or service code declared in the layout but absent from the
 // footprint table is flagged; the stride sizing constant is exempt.
 func TestTrapSummarySync(t *testing.T) {
@@ -301,6 +242,8 @@ const saveR0 Word = 0
 	}
 }
 
+// TestRepositoryClean is the invariant itself: the real tree has zero
+// violations. If this fails, the code — not the linter — regressed.
 func TestRepositoryClean(t *testing.T) {
 	diags := runLint(t, filepath.Join("..", ".."))
 	for _, d := range diags {

@@ -98,21 +98,6 @@ func (u *mmu) translate(vaddr Word, write bool) (Word, bool) {
 	return u.Base[seg] + off, true
 }
 
-// probe maps a user-mode virtual address for a read WITHOUT latching abort
-// status on failure. It exists for speculative host-side work (translation-
-// cache cursor re-seeding) that must not perturb modelled state; real
-// accesses go through translate.
-func (u *mmu) probe(vaddr Word) (Word, bool) {
-	seg := vaddr >> 12
-	off := vaddr & (SegmentWords - 1)
-	ctl := u.Ctl[seg]
-	acc := SegCtlAccess(ctl)
-	if (acc != AccessRO && acc != AccessRW) || int(off) >= SegCtlLimit(ctl) {
-		return 0, false
-	}
-	return u.Base[seg] + off, true
-}
-
 // reset clears all mappings (every segment becomes AccessNone) and the
 // abort status.
 func (u *mmu) reset() {

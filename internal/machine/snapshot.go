@@ -65,7 +65,6 @@ func (m *Machine) Restore(s *Snapshot) error {
 	m.halted = s.Halted
 	m.waiting = s.Waiting
 	m.trapCode = s.TrapCode
-	m.mapGen++
 	if m.delta != nil {
 		// A full restore under an active delta must journal like any other
 		// write, so DeltaRestore can still undo it: diff word-by-word
@@ -77,9 +76,6 @@ func (m *Machine) Restore(s *Snapshot) error {
 			}
 		}
 	} else {
-		// The bulk copy bypasses the write barrier; drop every translated
-		// block rather than diffing.
-		m.flushTC()
 		copy(m.ram, s.RAM)
 	}
 	for i, d := range m.devices {

@@ -8,7 +8,7 @@
 // coloured inputs, and per-regime output latches.
 //
 // The state space (≈74k states × 4 inputs) is enumerated completely, so
-// CheckExhaustive constitutes a genuine proof that the six conditions hold
+// CheckExhaustiveOpt constitutes a genuine proof that the six conditions hold
 // of the secure variant — and the fault-injected variants (mirroring the
 // real kernel's Leaks) are refuted with counterexamples.
 package minisue

@@ -18,7 +18,7 @@ func TestSecureMiniSUEProvenSeparable(t *testing.T) {
 		t.Skip("exhaustive proof skipped in -short mode")
 	}
 	sys := minisue.New(minisue.Secure)
-	res := separability.CheckExhaustive(sys, 0)
+	res := separability.CheckExhaustiveOpt(sys, separability.ExhaustiveOptions{})
 	if !res.Passed() {
 		for i, v := range res.Violations {
 			if i > 4 {
@@ -65,7 +65,7 @@ func TestInsecureVariantsRefuted(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(minisue.VariantName(tc.v), func(t *testing.T) {
 			sys := minisue.New(tc.v)
-			res := separability.CheckExhaustive(sys, 0)
+			res := separability.CheckExhaustiveOpt(sys, separability.ExhaustiveOptions{})
 			if res.Passed() {
 				t.Fatalf("insecure variant %s passed the exhaustive check",
 					minisue.VariantName(tc.v))

@@ -55,12 +55,13 @@ func (tt *trackedToy) Clone() model.SharedSystem {
 func TestExhaustiveDirtyTrackerEquivalence(t *testing.T) {
 	for v := separability.ToySecure; v <= separability.ToyNextOpLeak; v++ {
 		name := separability.ToyVariantName(v)
-		plain := separability.CheckExhaustiveWorkers(separability.NewToySystem(v), 0, 1)
-		tracked := separability.CheckExhaustiveWorkers(
-			&trackedToy{ToySystem: separability.NewToySystem(v)}, 0, 1)
+		plain := separability.CheckExhaustiveOpt(separability.NewToySystem(v),
+			separability.ExhaustiveOptions{Workers: 1})
+		tracked := separability.CheckExhaustiveOpt(&trackedToy{ToySystem: separability.NewToySystem(v)},
+			separability.ExhaustiveOptions{Workers: 1})
 		requireIdentical(t, plain, tracked, name+"/serial")
-		par := separability.CheckExhaustiveWorkers(
-			&trackedToy{ToySystem: separability.NewToySystem(v)}, 0, 4)
+		par := separability.CheckExhaustiveOpt(&trackedToy{ToySystem: separability.NewToySystem(v)},
+			separability.ExhaustiveOptions{Workers: 4})
 		requireIdentical(t, plain, par, name+"/parallel")
 	}
 }
@@ -76,13 +77,14 @@ type allCleanToy struct {
 func (at *allCleanToy) DirtyColours(model.Checkpoint) (uint64, bool) { return 0, true }
 
 func TestExhaustiveDirtyTrackerIsConsulted(t *testing.T) {
-	honest := separability.CheckExhaustiveWorkers(
-		separability.NewToySystem(separability.ToyDirectWrite), 0, 1)
+	honest := separability.CheckExhaustiveOpt(separability.NewToySystem(separability.ToyDirectWrite),
+		separability.ExhaustiveOptions{Workers: 1})
 	if len(honest.Violations) == 0 {
 		t.Fatal("direct-write variant should violate condition 2")
 	}
-	lying := separability.CheckExhaustiveWorkers(&allCleanToy{
-		trackedToy{ToySystem: separability.NewToySystem(separability.ToyDirectWrite)}}, 0, 1)
+	lying := separability.CheckExhaustiveOpt(&allCleanToy{
+		trackedToy{ToySystem: separability.NewToySystem(separability.ToyDirectWrite)}},
+		separability.ExhaustiveOptions{Workers: 1})
 	if len(lying.Violations) != 0 {
 		t.Fatalf("all-clean tracker should mask the violations (checker not consulting the mask?): %d reported",
 			len(lying.Violations))

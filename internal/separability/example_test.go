@@ -8,12 +8,12 @@ import (
 
 // Exhaustive checking of a small system is a proof: every state and input
 // is visited and all six conditions verified universally.
-func ExampleCheckExhaustive() {
+func ExampleCheckExhaustiveOpt() {
 	secure := separability.NewToySystem(separability.ToySecure)
-	fmt.Println(separability.CheckExhaustive(secure, 0).Passed())
+	fmt.Println(separability.CheckExhaustiveOpt(secure, separability.ExhaustiveOptions{}).Passed())
 
 	leaky := separability.NewToySystem(separability.ToyDirectWrite)
-	res := separability.CheckExhaustive(leaky, 0)
+	res := separability.CheckExhaustiveOpt(leaky, separability.ExhaustiveOptions{})
 	fmt.Println(res.Passed())
 	fmt.Println(res.ViolatedConditions())
 	// Output:

@@ -57,27 +57,6 @@ type stateInfo struct {
 	inEx   [][]uint64 // [input][colour] digest of EXTRACT(c, i)
 }
 
-// CheckExhaustive verifies the six conditions universally over every state
-// and input an Enumerable system yields. For a system whose enumerator
-// covers its whole (reachable) state space this constitutes a proof of
-// separability by explicit-state model checking.
-//
-// When the system implements model.Replicable, the sweep is sharded across
-// GOMAXPROCS worker goroutines, each on a private replica; the result is
-// identical to the single-threaded check. Use CheckExhaustiveWorkers to pin
-// the worker count.
-func CheckExhaustive(sys model.Enumerable, maxViolations int) *Result {
-	return CheckExhaustiveWorkers(sys, maxViolations, runtime.GOMAXPROCS(0))
-}
-
-// CheckExhaustiveWorkers is CheckExhaustive with an explicit worker count
-// (1 = single-threaded; 0 = one worker per CPU core). Results are identical
-// for every worker count.
-func CheckExhaustiveWorkers(sys model.Enumerable, maxViolations, workers int) *Result {
-	return CheckExhaustiveOpt(sys, ExhaustiveOptions{
-		MaxViolations: maxViolations, Workers: workers})
-}
-
 // defaultChunkSize is the per-claim state count when ExhaustiveOptions
 // leaves ChunkSize zero. It is also the checkpoint granularity.
 const defaultChunkSize = 64
@@ -146,10 +125,18 @@ type ExhaustiveOptions struct {
 // configured, the partial progress has been persisted to it.
 var ErrAborted = errors.New("separability: exhaustive sweep aborted after configured chunk budget")
 
-// CheckExhaustiveOpt is the options form of CheckExhaustive, for complete
-// in-process runs. It panics on errors, which for full sweeps can only be
-// option misuse (an invalid shard spec, an unusable checkpoint file) —
-// process-level drivers that need error handling use CheckExhaustiveShard.
+// CheckExhaustiveOpt verifies the six conditions universally over every
+// state and input an Enumerable system yields. For a system whose
+// enumerator covers its whole (reachable) state space this constitutes a
+// proof of separability by explicit-state model checking. When the system
+// implements model.Replicable, the sweep is sharded across
+// ExhaustiveOptions.Workers goroutines, each on a private replica; the
+// result is identical to the single-threaded check.
+//
+// It is meant for complete in-process runs and panics on errors, which
+// for full sweeps can only be option misuse (an invalid shard spec, an
+// unusable checkpoint file) — process-level drivers that need error
+// handling use CheckExhaustiveShard.
 func CheckExhaustiveOpt(sys model.Enumerable, opt ExhaustiveOptions) *Result {
 	sr, err := CheckExhaustiveShard(sys, opt)
 	if err != nil {
@@ -268,10 +255,7 @@ func CheckExhaustiveShard(sys model.Enumerable, opt ExhaustiveOptions) (*ShardRe
 	if workers < 1 {
 		workers = 1
 	}
-	replicas := []model.Enumerable{sys}
-	if workers > 1 {
-		replicas = replicate(sys, workers)
-	}
+	replicas := replicate(sys, workers)
 
 	// Pass 0: anchor Φ digests of EVERY state for every colour, plus the
 	// lead-table election. This pass is shard-independent — every shard
@@ -279,7 +263,8 @@ func CheckExhaustiveShard(sys model.Enumerable, opt ExhaustiveOptions) (*ShardRe
 	// contiguous chunk range an exact slice of the unsharded sweep.
 	phi0 := make([]uint64, len(states)*nc)
 	cols := make([]model.Colour, len(states))
-	runChunks(replicas, nChunks, func(rep model.Enumerable, cj int) {
+	runPool(len(replicas), nChunks, func(w, cj int) {
+		rep := replicas[w]
 		lo, hi := chunkBounds(cj, chunkSize, len(states))
 		for si := lo; si < hi; si++ {
 			rep.Restore(states[si])
@@ -330,12 +315,12 @@ func CheckExhaustiveShard(sys model.Enumerable, opt ExhaustiveOptions) (*ShardRe
 	sort.Ints(neededSis)
 	leadBySi := make(map[int]*stateInfo, len(neededSis))
 	leadInfos := make([]*stateInfo, len(neededSis))
-	runChunks(replicas, (len(neededSis)+chunkSize-1)/chunkSize, func(rep model.Enumerable, cj int) {
+	runPool(len(replicas), (len(neededSis)+chunkSize-1)/chunkSize, func(w, cj int) {
 		lo, hi := chunkBounds(cj, chunkSize, len(neededSis))
 		for k := lo; k < hi; k++ {
 			si := neededSis[k]
 			info := &stateInfo{}
-			precomputeInto(rep, states[si], colours, inputs, phi0[si*nc:(si+1)*nc], info)
+			precomputeInto(replicas[w], states[si], colours, inputs, phi0[si*nc:(si+1)*nc], info)
 			leadInfos[k] = info
 		}
 	})
@@ -628,29 +613,30 @@ func (f *chunkFolder) deliver(cj int, perColour []*Result) {
 	}
 }
 
-// runChunks claims chunk indices [0, n) across one goroutine per replica
-// (inline when there is only one).
-func runChunks(replicas []model.Enumerable, n int, fn func(rep model.Enumerable, cj int)) {
-	if len(replicas) == 1 {
-		for cj := 0; cj < n; cj++ {
-			fn(replicas[0], cj)
+// runPool claims work indices [0, n) across workers goroutines, calling
+// fn(w, i) for each index i on worker slot w (inline when there is only
+// one worker).
+func runPool(workers, n int, fn func(w, i int)) {
+	if workers == 1 {
+		for i := 0; i < n; i++ {
+			fn(0, i)
 		}
 		return
 	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
-	for _, rep := range replicas {
+	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(rep model.Enumerable) {
+		go func(w int) {
 			defer wg.Done()
 			for {
-				cj := int(next.Add(1)) - 1
-				if cj >= n {
+				i := int(next.Add(1)) - 1
+				if i >= n {
 					return
 				}
-				fn(rep, cj)
+				fn(w, i)
 			}
-		}(rep)
+		}(w)
 	}
 	wg.Wait()
 }
@@ -672,18 +658,19 @@ func statesInChunks(lo, hi, chunkSize, states int) int {
 	return b - a
 }
 
-// replicate clones sys up to n times; the original is element 0. A system
-// that is not Replicable (or whose Clone fails) yields just the original,
-// collapsing the check to single-threaded.
-func replicate(sys model.Enumerable, n int) []model.Enumerable {
-	out := []model.Enumerable{sys}
-	rep, ok := sys.(model.Replicable)
+// replicate clones sys up to n-1 times, for a worker pool of n; the
+// original is element 0. A system that is not Replicable (or whose Clone
+// fails) yields just the original, collapsing the check to single-threaded.
+// Both checkers build their replicas here.
+func replicate[S model.SharedSystem](sys S, n int) []S {
+	out := []S{sys}
+	rep, ok := any(sys).(model.Replicable)
 	if !ok {
 		return out
 	}
 	for len(out) < n {
-		clone, ok := rep.Clone().(model.Enumerable)
-		if !ok || clone == nil {
+		clone, ok := rep.Clone().(S)
+		if !ok {
 			return out[:1]
 		}
 		out = append(out, clone)

@@ -1,6 +1,7 @@
 package separability_test
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -9,7 +10,8 @@ import (
 )
 
 // requireIdentical asserts two results are indistinguishable: same summary
-// bytes, same violations in the same order, same check counts.
+// bytes, same violations in the same order, same check counts, and no
+// difference anywhere else in the Result.
 func requireIdentical(t *testing.T, want, got *separability.Result, label string) {
 	t.Helper()
 	if want.Summary() != got.Summary() {
@@ -22,6 +24,9 @@ func requireIdentical(t *testing.T, want, got *separability.Result, label string
 	}
 	if !reflect.DeepEqual(want.Checks, got.Checks) {
 		t.Errorf("%s: check counts differ: %v vs %v", label, want.Checks, got.Checks)
+	}
+	if !reflect.DeepEqual(want, got) {
+		t.Errorf("%s: results differ: %+v vs %+v", label, want, got)
 	}
 }
 
@@ -58,19 +63,51 @@ func TestCheckRandomizedWorkerDeterminism(t *testing.T) {
 	}
 }
 
-// The factory-based entry point must agree with the Replicable-based one.
-func TestCheckRandomizedParallelFactory(t *testing.T) {
-	opt := separability.Options{Trials: 8, StepsPerTrial: 30, Seed: 5}
-	opt.Workers = 1
-	serial := separability.CheckRandomized(separability.NewToySystem(separability.ToyOutputLeak), opt)
-	opt.Workers = 4
-	par := separability.CheckRandomizedParallel(func() model.Perturbable {
-		return separability.NewToySystem(separability.ToyOutputLeak)
-	}, opt)
-	requireIdentical(t, serial, par, "factory")
+// cloneCountingToy wraps a toy system, counting the replicas the checker
+// manufactures; with failClone set, Clone reports that the system cannot
+// be replicated.
+type cloneCountingToy struct {
+	*separability.ToySystem
+	clones    *int
+	failClone bool
 }
 
-// CheckExhaustive must be a pure function of the system, independent of
+func (c *cloneCountingToy) Clone() model.SharedSystem {
+	if c.failClone {
+		return nil
+	}
+	*c.clones++
+	return &cloneCountingToy{ToySystem: c.ToySystem.Clone().(*separability.ToySystem), clones: c.clones}
+}
+
+// CheckRandomized builds exactly one replica per extra worker (the
+// original serves as worker 0, and no probe clone is thrown away), caps
+// the pool at the trial count, and falls back to a single-threaded run
+// when Clone fails — with the same Result every time.
+func TestCheckRandomizedReplicas(t *testing.T) {
+	opt := separability.Options{Trials: 8, StepsPerTrial: 30, Seed: 5, Workers: 1}
+	serial := separability.CheckRandomized(separability.NewToySystem(separability.ToyOutputLeak), opt)
+	for _, tc := range []struct {
+		workers, wantClones int
+		failClone           bool
+	}{
+		{1, 0, false}, {2, 1, false}, {4, 3, false}, {20, 7, false}, {4, 0, true},
+	} {
+		clones := 0
+		sys := &cloneCountingToy{ToySystem: separability.NewToySystem(separability.ToyOutputLeak),
+			clones: &clones, failClone: tc.failClone}
+		o := opt
+		o.Workers = tc.workers
+		got := separability.CheckRandomized(sys, o)
+		label := fmt.Sprintf("workers=%d failClone=%v", tc.workers, tc.failClone)
+		requireIdentical(t, serial, got, label)
+		if clones != tc.wantClones {
+			t.Errorf("%s: %d clones, want %d", label, clones, tc.wantClones)
+		}
+	}
+}
+
+// CheckExhaustiveOpt must be a pure function of the system, independent of
 // how many workers shard the state sweep and the per-colour passes.
 func TestCheckExhaustiveWorkerDeterminism(t *testing.T) {
 	variants := []separability.ToyVariant{
@@ -79,9 +116,11 @@ func TestCheckExhaustiveWorkerDeterminism(t *testing.T) {
 	}
 	for _, v := range variants {
 		name := separability.ToyVariantName(v)
-		serial := separability.CheckExhaustiveWorkers(separability.NewToySystem(v), 0, 1)
+		serial := separability.CheckExhaustiveOpt(separability.NewToySystem(v),
+			separability.ExhaustiveOptions{Workers: 1})
 		for _, workers := range []int{2, 4} {
-			par := separability.CheckExhaustiveWorkers(separability.NewToySystem(v), 0, workers)
+			par := separability.CheckExhaustiveOpt(separability.NewToySystem(v),
+				separability.ExhaustiveOptions{Workers: workers})
 			requireIdentical(t, serial, par, name)
 		}
 	}
@@ -162,8 +201,9 @@ func TestToyCloneIndependence(t *testing.T) {
 // the engines can merge worker-private results deterministically.
 func TestResultMerge(t *testing.T) {
 	bad := separability.NewToySystem(separability.ToyDirectWrite)
-	a := separability.CheckExhaustive(bad, 3)
-	b := separability.CheckExhaustive(separability.NewToySystem(separability.ToySecure), 0)
+	a := separability.CheckExhaustiveOpt(bad, separability.ExhaustiveOptions{MaxViolations: 3})
+	b := separability.CheckExhaustiveOpt(separability.NewToySystem(separability.ToySecure),
+		separability.ExhaustiveOptions{})
 	var merged separability.Result
 	merged.Merge(a)
 	merged.Merge(b)

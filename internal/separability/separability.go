@@ -3,15 +3,15 @@
 // paper's Appendix against any system implementing the interfaces of
 // package model.
 //
-// Two drivers are provided. CheckExhaustive visits every state and input of
-// an Enumerable system and verifies the conditions universally — for toy
-// systems this *is* a proof, by explicit-state model checking. The real
-// SM11/SUE-Go system has far too many states for that, so CheckRandomized
-// verifies the conditions on sampled reachable states, using the system's
-// PerturbOutside operation to construct the Φ-equivalent state pairs the
-// pairwise conditions quantify over. A randomized check is testing rather
-// than proof, but every violation it reports is a genuine one, with a
-// counterexample.
+// Two drivers are provided. CheckExhaustiveOpt visits every state and
+// input of an Enumerable system and verifies the conditions universally —
+// for toy systems this *is* a proof, by explicit-state model checking. The
+// real SM11/SUE-Go system has far too many states for that, so
+// CheckRandomized verifies the conditions on sampled reachable states,
+// using the system's PerturbOutside operation to construct the
+// Φ-equivalent state pairs the pairwise conditions quantify over. A
+// randomized check is testing rather than proof, but every violation it
+// reports is a genuine one, with a counterexample.
 //
 // The six conditions, restated operationally (see model's package comment
 // for the setting):
@@ -35,8 +35,6 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/model"
@@ -228,8 +226,7 @@ type Options struct {
 	// owning a private replica of the system (1 = single-threaded;
 	// 0 = one worker per CPU core, runtime.GOMAXPROCS(0)).
 	// Using more than one worker requires the system to implement
-	// model.Replicable (or use CheckRandomizedParallel with a factory);
-	// non-replicable systems are checked single-threaded regardless.
+	// model.Replicable; other systems are checked single-threaded.
 	// Results are identical for every worker count.
 	Workers int
 	// Metrics, when non-nil, receives live progress and throughput
@@ -252,12 +249,6 @@ type Options struct {
 
 // trialSecondsBounds buckets per-trial wall time from 100µs to ~100s.
 var trialSecondsBounds = []float64{0.0001, 0.001, 0.01, 0.1, 1, 10, 100}
-
-// DefaultOptions returns options balanced for CI-speed checking of the
-// SUE-Go kernel configurations used in the test suite.
-func DefaultOptions(seed int64) Options {
-	return Options{Trials: 6, StepsPerTrial: 60, Seed: seed}
-}
 
 func (o *Options) fill() {
 	if o.Trials == 0 {
@@ -290,114 +281,48 @@ func CheckRandomized(sys model.Perturbable, opt Options) *Result {
 	if colours == nil {
 		colours = sys.Colours()
 	}
-	if opt.Workers > 1 {
-		if rep, ok := sys.(model.Replicable); ok {
-			factory := func() model.Perturbable {
-				clone, _ := rep.Clone().(model.Perturbable)
-				return clone
-			}
-			if probe := factory(); probe != nil {
-				return runTrialsParallel(sys, factory, opt, colours)
-			}
-		}
-		// Not replicable: fall through to the single-threaded engine,
-		// which produces the same Result a worker pool would.
+	trialResult := func(trial int) *Result { return runTrial(sys, trial, opt, colours) }
+	if replicas := replicate(sys, min(opt.Workers, opt.Trials)); len(replicas) > 1 {
+		results := runTrialsParallel(replicas, opt, colours)
+		trialResult = func(trial int) *Result { return results[trial] }
 	}
+	// Merge in trial order under the deterministic stopping rule: stop once
+	// the merged prefix hits the cap. Serially, later trials never run.
 	res := &Result{Checks: map[Condition]int{}}
-	for trial := 0; trial < opt.Trials; trial++ {
-		// Deterministic stopping rule (shared with the parallel merge):
-		// stop starting trials once the merged prefix hit the cap.
-		if len(res.Violations) >= opt.MaxViolations {
-			break
-		}
-		res.Merge(runTrial(sys, trial, opt, colours))
+	for trial := 0; trial < opt.Trials && len(res.Violations) < opt.MaxViolations; trial++ {
+		res.Merge(trialResult(trial))
 	}
 	return res
 }
 
-// CheckRandomizedParallel runs CheckRandomized with each worker goroutine
-// owning a system replica manufactured by factory, for systems that cannot
-// implement model.Replicable but can be rebuilt from configuration. The
-// factory must return independent instances; a nil return disables that
-// worker (its trials are picked up by the others, or run on the first
-// instance). Results are identical to a single-threaded CheckRandomized of
-// a factory-built system with the same Options.
-func CheckRandomizedParallel(factory func() model.Perturbable, opt Options) *Result {
-	opt.fill()
-	base := factory()
-	if base == nil {
-		return &Result{Checks: map[Condition]int{}}
-	}
-	colours := opt.Colours
-	if colours == nil {
-		colours = base.Colours()
-	}
-	if opt.Workers <= 1 {
-		o := opt
-		o.Workers = 1
-		return CheckRandomized(base, o)
-	}
-	return runTrialsParallel(base, factory, opt, colours)
-}
-
-// runTrialsParallel shards trial indices across a worker pool. base is an
-// instance reserved for the calling goroutine (used to backfill any trial
-// a worker could not run); factory supplies each worker's private replica.
-func runTrialsParallel(base model.Perturbable, factory func() model.Perturbable,
-	opt Options, colours []model.Colour) *Result {
-
-	workers := opt.Workers
-	if workers > opt.Trials {
-		workers = opt.Trials
+// runTrialsParallel runs every trial across a worker pool, one goroutine
+// per replica, and returns the per-trial results in trial order.
+func runTrialsParallel(replicas []model.Perturbable, opt Options, colours []model.Colour) []*Result {
+	// Per-worker throughput counters (the worker label is the pool slot,
+	// not a goroutine id).
+	type workerCounters struct{ trials, states, busy *obs.Counter }
+	counters := make([]workerCounters, len(replicas))
+	if opt.Metrics != nil {
+		for w := range counters {
+			label := fmt.Sprintf("{worker=%q}", fmt.Sprint(w))
+			counters[w] = workerCounters{
+				trials: opt.Metrics.Counter("sep_worker_trials_total" + label),
+				states: opt.Metrics.Counter("sep_worker_states_total" + label),
+				busy:   opt.Metrics.Counter("sep_worker_busy_us_total" + label),
+			}
+		}
 	}
 	results := make([]*Result, opt.Trials)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			sys := factory()
-			if sys == nil {
-				return
-			}
-			// Per-worker throughput counters (created on demand; the
-			// worker label is the pool slot, not a goroutine id).
-			var wTrials, wStates, wBusy *obs.Counter
-			if opt.Metrics != nil {
-				wTrials = opt.Metrics.Counter(fmt.Sprintf("sep_worker_trials_total{worker=%q}", fmt.Sprint(w)))
-				wStates = opt.Metrics.Counter(fmt.Sprintf("sep_worker_states_total{worker=%q}", fmt.Sprint(w)))
-				wBusy = opt.Metrics.Counter(fmt.Sprintf("sep_worker_busy_us_total{worker=%q}", fmt.Sprint(w)))
-			}
-			for {
-				trial := int(next.Add(1)) - 1
-				if trial >= opt.Trials {
-					return
-				}
-				start := time.Now()
-				results[trial] = runTrial(sys, trial, opt, colours)
-				if opt.Metrics != nil {
-					wTrials.Inc()
-					wStates.Add(uint64(results[trial].States))
-					wBusy.Add(uint64(time.Since(start).Microseconds()))
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	// Backfill trials no worker reached (factory failures) on base, then
-	// merge in trial order under the deterministic stopping rule.
-	res := &Result{Checks: map[Condition]int{}}
-	for trial := 0; trial < opt.Trials; trial++ {
-		if len(res.Violations) >= opt.MaxViolations {
-			break
+	runPool(len(replicas), opt.Trials, func(w, trial int) {
+		start := time.Now()
+		results[trial] = runTrial(replicas[w], trial, opt, colours)
+		if opt.Metrics != nil {
+			counters[w].trials.Inc()
+			counters[w].states.Add(uint64(results[trial].States))
+			counters[w].busy.Add(uint64(time.Since(start).Microseconds()))
 		}
-		if results[trial] == nil {
-			results[trial] = runTrial(base, trial, opt, colours)
-		}
-		res.Merge(results[trial])
-	}
-	return res
+	})
+	return results
 }
 
 // trialSeed derives trial t's RNG seed from the user seed via a

@@ -9,7 +9,7 @@ import (
 
 func TestToySecureExhaustivePasses(t *testing.T) {
 	sys := separability.NewToySystem(separability.ToySecure)
-	res := separability.CheckExhaustive(sys, 0)
+	res := separability.CheckExhaustiveOpt(sys, separability.ExhaustiveOptions{})
 	if !res.Passed() {
 		t.Fatalf("secure toy system failed exhaustive check: %s", res.Summary())
 	}
@@ -26,7 +26,7 @@ func TestToyVariantsCaughtExhaustive(t *testing.T) {
 		name := separability.ToyVariantName(variant)
 		t.Run(name, func(t *testing.T) {
 			sys := separability.NewToySystem(variant)
-			res := separability.CheckExhaustive(sys, 0)
+			res := separability.CheckExhaustiveOpt(sys, separability.ExhaustiveOptions{})
 			if res.Passed() {
 				t.Fatalf("insecure variant %s passed the exhaustive check", name)
 			}
@@ -88,12 +88,12 @@ func TestToyVariantsCaughtRandomized(t *testing.T) {
 
 func TestResultSummaryFormats(t *testing.T) {
 	sys := separability.NewToySystem(separability.ToySecure)
-	res := separability.CheckExhaustive(sys, 0)
+	res := separability.CheckExhaustiveOpt(sys, separability.ExhaustiveOptions{})
 	if got := res.Summary(); len(got) == 0 || got[:4] != "PASS" {
 		t.Errorf("summary = %q, want PASS...", got)
 	}
 	bad := separability.NewToySystem(separability.ToyDirectWrite)
-	res = separability.CheckExhaustive(bad, 0)
+	res = separability.CheckExhaustiveOpt(bad, separability.ExhaustiveOptions{})
 	if got := res.Summary(); len(got) == 0 || got[:4] != "FAIL" {
 		t.Errorf("summary = %q, want FAIL...", got)
 	}
@@ -104,7 +104,7 @@ func TestResultSummaryFormats(t *testing.T) {
 // catches must still surface under a tight cap.
 func TestMaxViolationsCapsPerCondition(t *testing.T) {
 	bad := separability.NewToySystem(separability.ToyDirectWrite)
-	res := separability.CheckExhaustive(bad, 5)
+	res := separability.CheckExhaustiveOpt(bad, separability.ExhaustiveOptions{MaxViolations: 5})
 	perCond := map[separability.Condition]int{}
 	for _, v := range res.Violations {
 		perCond[v.Condition]++
@@ -114,9 +114,11 @@ func TestMaxViolationsCapsPerCondition(t *testing.T) {
 			t.Errorf("collected %d violations for %s, cap was 5", n, c)
 		}
 	}
-	full := separability.CheckExhaustive(separability.NewToySystem(separability.ToyDirectWrite), 1<<20)
+	full := separability.CheckExhaustiveOpt(separability.NewToySystem(separability.ToyDirectWrite),
+		separability.ExhaustiveOptions{MaxViolations: 1 << 20})
 	want := full.ViolatedConditions()
-	got := separability.CheckExhaustive(separability.NewToySystem(separability.ToyDirectWrite), 1).ViolatedConditions()
+	got := separability.CheckExhaustiveOpt(separability.NewToySystem(separability.ToyDirectWrite),
+		separability.ExhaustiveOptions{MaxViolations: 1}).ViolatedConditions()
 	if !reflect.DeepEqual(want, got) {
 		t.Errorf("cap 1 lost conditions: got %v, uncapped %v", got, want)
 	}

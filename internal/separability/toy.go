@@ -9,7 +9,7 @@ import (
 // ToyVariant selects the behaviour of a ToySystem: one secure reference
 // and a family of planted insecurities, each engineered to violate exactly
 // one of the six conditions. The toy system is small enough (1024 states,
-// 4 inputs) for CheckExhaustive to constitute a real proof, which makes it
+// 4 inputs) for CheckExhaustiveOpt to constitute a real proof, which makes it
 // the calibration standard for the checker itself.
 type ToyVariant int
 

@@ -18,7 +18,6 @@ import (
 	"repro/internal/asm"
 	"repro/internal/kernel"
 	"repro/internal/machine"
-	"repro/internal/model"
 	"repro/internal/witness"
 )
 
@@ -137,35 +136,18 @@ func ProbeFor(l kernel.Leaks) string {
 	}
 }
 
-// Factory returns a builder of independent replicas of the standard
-// verification system, suitable for separability.CheckRandomizedParallel:
-// each call boots a fresh machine, kernel and device set from scratch. A
-// build error yields nil (the checker then skips that worker). Note the
-// kernel adapter also implements model.Replicable, so Options.Workers on a
-// Build-produced system works without this factory; it remains useful when
-// the configuration, not a live instance, is the natural unit to ship to
-// workers.
-func Factory(probe string, leaks kernel.Leaks, cut bool) func() model.Perturbable {
-	return func() model.Perturbable {
-		sys, err := Build(probe, leaks, cut)
-		if err != nil {
-			return nil
-		}
-		return sys
-	}
-}
-
 // SpecFor describes the standard verification system built with the given
-// leak name (empty = honest), channel cut and translation choice, as the
-// witness subsystem records it.
-func SpecFor(leakName string, cut, noTranslate bool) witness.SystemSpec {
-	return witness.SystemSpec{Kind: "verifysys", Leak: leakName, Cut: cut,
-		NoTranslate: noTranslate}
+// leak name (empty = honest) and channel cut, as the witness subsystem
+// records it. The third parameter is ignored: it once chose whether the
+// SM11 ran with a translation cache, and the machine now has a single
+// interpreter. It stays so existing callers keep compiling.
+func SpecFor(leakName string, cut, _ bool) witness.SystemSpec {
+	return witness.SystemSpec{Kind: "verifysys", Leak: leakName, Cut: cut}
 }
 
 // FromSpec rebuilds the system a witness was captured from. Only the
 // "verifysys" kind is known; the leak name must be one of kernel.AllLeaks
-// (or empty for the honest kernel).
+// (or empty for the honest kernel). spec.NoTranslate is ignored.
 func FromSpec(spec witness.SystemSpec) (*kernel.Adapter, error) {
 	if spec.Kind != "verifysys" {
 		return nil, fmt.Errorf("verifysys: unknown system kind %q", spec.Kind)
@@ -178,14 +160,7 @@ func FromSpec(spec witness.SystemSpec) (*kernel.Adapter, error) {
 		}
 		leaks = l
 	}
-	sys, err := Build(ProbeFor(leaks), leaks, spec.Cut)
-	if err != nil {
-		return nil, err
-	}
-	if spec.NoTranslate {
-		sys.K.Machine().SetTranslation(false)
-	}
-	return sys, nil
+	return Build(ProbeFor(leaks), leaks, spec.Cut)
 }
 
 // Build boots the standard verification system with the given probe

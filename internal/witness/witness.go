@@ -40,7 +40,10 @@ type Step struct {
 // detail for a later process to rebuild an equivalent instance (see
 // verifysys.FromSpec). Kind is a registry key ("verifysys" for the standard
 // verification configuration); Leak is the planted-leak name, empty for the
-// honest kernel.
+// honest kernel. NoTranslate is a retired field: the SM11 once had an
+// optional translation cache, and records captured then may carry
+// noTranslate:true. It stays so those records keep their content IDs;
+// nothing reads it.
 type SystemSpec struct {
 	Kind        string `json:"kind"`
 	Leak        string `json:"leak,omitempty"`

@@ -1,6 +1,7 @@
 package witness_test
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -149,10 +150,12 @@ func TestCaptureWorkerCountInvariant(t *testing.T) {
 	}
 }
 
-// Host-state independence: a witness captured with the translation cache
-// enabled must replay identically on a system running without it — the
-// cache is a host-side accelerator, invisible to the architectural walk.
-func TestReplayWithTranslationDisabled(t *testing.T) {
+// Compatibility: records written when the SM11 still had an optional
+// translation cache may carry noTranslate:true in their system spec. The
+// field is part of the record's content ID, so such a record must still
+// load, pass its ID check and replay on today's single-interpreter
+// machine, which ignores the field.
+func TestRetiredNoTranslateRecordReplays(t *testing.T) {
 	spec := verifysys.SpecFor("SharedScratch", true, false)
 	sys := buildSpec(t, spec)
 	opt := leakOpt(false)
@@ -161,22 +164,51 @@ func TestReplayWithTranslationDisabled(t *testing.T) {
 		t.Fatal("leak not caught")
 	}
 	dir := t.TempDir()
-	if _, err := witness.Capture(sys, opt, res, witness.Options{Dir: dir, System: spec}); err != nil {
+	captured, err := witness.Capture(sys, opt, res, witness.Options{Dir: dir, System: spec})
+	if err != nil || len(captured) == 0 {
+		t.Fatalf("capture: %d witnesses, err=%v", len(captured), err)
+	}
+
+	// Rewrite the manifest as an older build would have written it.
+	var manifest []byte
+	for _, w := range captured {
+		old := *w
+		old.System.NoTranslate = true
+		old.ID = ""
+		id, err := witness.ContentID(&old)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if id == w.ID {
+			t.Fatalf("witness %s: noTranslate does not change the content ID", w.ID)
+		}
+		old.ID = id
+		line, err := json.Marshal(&old)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(string(line), `"noTranslate":true`) {
+			t.Fatalf("rewritten record lacks noTranslate:true: %s", line)
+		}
+		manifest = append(append(manifest, line...), '\n')
+	}
+	if err := os.WriteFile(filepath.Join(dir, "manifest.jsonl"), manifest, 0o644); err != nil {
 		t.Fatal(err)
 	}
+
 	loaded, err := witness.Load(dir)
-	if err != nil || len(loaded) == 0 {
-		t.Fatalf("load: %d witnesses, err=%v", len(loaded), err)
+	if err != nil || len(loaded) != len(captured) {
+		t.Fatalf("load: %d of %d witnesses, err=%v", len(loaded), len(captured), err)
 	}
 	for _, w := range loaded {
+		if !w.System.NoTranslate {
+			t.Errorf("witness %s lost its noTranslate field on load", w.ID)
+		}
 		if err := w.LoadState(dir); err != nil {
 			t.Fatal(err)
 		}
-		nt := w.System
-		nt.NoTranslate = true
-		fresh := buildSpec(t, nt)
-		if _, err := witness.Replay(fresh, w); err != nil {
-			t.Errorf("witness %s does not replay with translation off: %v", w.ID, err)
+		if _, err := witness.Replay(buildSpec(t, w.System), w); err != nil {
+			t.Errorf("witness %s with noTranslate:true does not replay: %v", w.ID, err)
 		}
 	}
 }

@@ -32,15 +32,12 @@ func BenchmarkMicroInstructionALU(b *testing.B) {
 	}
 }
 
-// benchMicroDispatch measures raw instruction dispatch over a long
+// BenchmarkMicroDispatch measures raw instruction dispatch over a long
 // straight-line block of register/immediate ALU traffic closed by a branch
 // — the shape the verification hot loops spend their time in — driven
-// through Run, the bulk-execution path. ns/op is ns per instruction. The
-// Translated/Interpreted pair records the translation cache's speedup
-// (ROADMAP raw-speed item; see EXPERIMENTS.md E15).
-func benchMicroDispatch(b *testing.B, translate bool) {
+// through Run, the bulk-execution path. ns/op is ns per instruction.
+func BenchmarkMicroDispatch(b *testing.B) {
 	m := machine.New(0x1000)
-	m.SetTranslation(translate)
 	im := asm.MustAssemble(`
 		.org 0x100
 	loop:
@@ -63,9 +60,6 @@ func benchMicroDispatch(b *testing.B, translate bool) {
 	b.ResetTimer()
 	m.Run(b.N)
 }
-
-func BenchmarkMicroDispatchTranslated(b *testing.B)  { benchMicroDispatch(b, true) }
-func BenchmarkMicroDispatchInterpreted(b *testing.B) { benchMicroDispatch(b, false) }
 
 func BenchmarkMicroInstructionMemory(b *testing.B) {
 	m := machine.New(0x1000)
