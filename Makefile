@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: verify race test bench bench-smoke lint fuzz-smoke trace-smoke witness-smoke flow-smoke fleet-smoke watch-smoke
+.PHONY: verify race test bench bench-smoke lint fuzz-smoke trace-smoke witness-smoke flow-smoke fleet-smoke watch-smoke sepbench-smoke
 
 # Tier-1 gate: vet, build, full test suite.
 verify:
@@ -145,6 +145,22 @@ watch-smoke:
 		-deployments honest,leak-RegisterLeak,toy-secure > watch-smoke/serve.txt
 	grep -q 'cycle 1: 3 deployments, 0 drift, 0 verdict flips, 0 errors' watch-smoke/serve.txt
 	@echo "watch-smoke: idempotent re-verification clean, planted leak classified as verdict flip + digest drift"
+
+# Benchmark-harness smoke: sepbench/ is a Go module of its own that
+# compiles against this repository's APIs, so the root build and tests never
+# see it. Vet and test it (the decorator fidelity test included), then run
+# every BENCHMARK.json workload briefly with tracing on and require a
+# correct result. Reports land in sepbench-smoke/ for CI upload.
+SEPBENCH_WORKLOADS := randomized-kernel exhaustive-minisue watch-cycles
+sepbench-smoke:
+	cd sepbench && $(GO) vet ./... && $(GO) test ./...
+	rm -rf sepbench-smoke
+	mkdir -p sepbench-smoke
+	for w in $(SEPBENCH_WORKLOADS); do \
+		bash sepbench/run.sh --workload $$w --seed 1 --seconds 2 --trace 1 > sepbench-smoke/$$w.txt || exit 1; \
+		grep -q '"correct":true' sepbench-smoke/$$w.txt || { echo "sepbench-smoke: $$w did not report correct:true"; exit 1; }; \
+	done
+	@echo "sepbench-smoke: harness builds and tests clean, every workload correct"
 
 # Race-detector pass over the concurrent verification engine, the kernel
 # adapter it replicates, the machine underneath (pooled delta buffers),

@@ -34,6 +34,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -52,90 +53,98 @@ import (
 )
 
 func main() {
-	os.Exit(realMain())
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// realMain carries the whole run so deferred cleanup (pprof stop, progress
-// ticker shutdown) executes before the process exits.
-func realMain() int {
-	leak := flag.String("leak", "", "inject one named leak (see -list)")
-	list := flag.Bool("list", false, "list the available leak names")
-	all := flag.Bool("all", false, "sweep the honest kernel and every leak variant")
-	uncut := flag.Bool("uncut", false, "verify WITHOUT cutting channels (expected to fail)")
-	trials := flag.Int("trials", 10, "random traces to explore")
-	steps := flag.Int("steps", 100, "states checked per trace")
-	seed := flag.Int64("seed", 1, "exploration seed")
-	sched := flag.Bool("sched", true, "include the scheduling-independence extension")
-	workers := flag.Int("workers", 0,
+// run carries the whole run so deferred cleanup (pprof stop, progress
+// ticker shutdown) executes before the process exits; it returns the exit
+// status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("sepverify", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	leak := fs.String("leak", "", "inject one named leak (see -list)")
+	list := fs.Bool("list", false, "list the available leak names")
+	all := fs.Bool("all", false, "sweep the honest kernel and every leak variant")
+	uncut := fs.Bool("uncut", false, "verify WITHOUT cutting channels (expected to fail)")
+	trials := fs.Int("trials", 10, "random traces to explore")
+	steps := fs.Int("steps", 100, "states checked per trace")
+	seed := fs.Int64("seed", 1, "exploration seed")
+	sched := fs.Bool("sched", true, "include the scheduling-independence extension")
+	workers := fs.Int("workers", 0,
 		"checker goroutines to shard trials across; 0 = one per CPU core (results are identical for any value)")
-	exhaustive := flag.Bool("exhaustive", false,
+	exhaustive := fs.Bool("exhaustive", false,
 		"run the exhaustive proofs (MiniSUE + toy calibration) instead of the kernel check")
-	target := flag.String("target", "",
+	target := fs.String("target", "",
 		"with -exhaustive: sweep one registered enumerable target (e.g. minisue:secure; see verifysys)")
-	shardSpec := flag.String("shard", "",
+	shardSpec := fs.String("shard", "",
 		"with -target: run only shard k/n of the chunked state space (0-based), e.g. 1/4")
-	shardOut := flag.String("shard-out", "",
+	shardOut := fs.String("shard-out", "",
 		"with -target: write the sealed shard-result artifact to this file")
-	checkpoint := flag.String("checkpoint", "",
+	checkpoint := fs.String("checkpoint", "",
 		"with -target: persist resumable progress to this file and resume from it when present")
-	checkpointEvery := flag.Int("checkpoint-every", 0,
+	checkpointEvery := fs.Int("checkpoint-every", 0,
 		"checkpoint cadence in folded chunks (0 = 8)")
-	chunk := flag.Int("chunk", 0,
+	chunk := fs.Int("chunk", 0,
 		"states per work/checkpoint chunk (0 = 64); all shards of one fleet must agree")
-	maxViolations := flag.Int("max-violations", 8,
+	maxViolations := fs.Int("max-violations", 8,
 		"counterexamples collected per condition in exhaustive sweeps")
-	throttle := flag.Duration("throttle", 0,
+	throttle := fs.Duration("throttle", 0,
 		"sleep this long before each chunk (testing lever for kill/resume demos)")
-	merge := flag.Bool("merge", false,
+	merge := fs.Bool("merge", false,
 		"merge the shard-result files given as arguments into the combined verdict")
-	metrics := flag.Bool("metrics", false,
+	metrics := fs.Bool("metrics", false,
 		"collect verifier metrics and dump a throughput report after the run")
-	metricsFormat := flag.String("metrics-format", "prom",
+	metricsFormat := fs.String("metrics-format", "prom",
 		"registry dump format with -metrics: prom (Prometheus text) or json")
-	progress := flag.Bool("progress", false,
+	progress := fs.Bool("progress", false,
 		"print periodic progress lines (trials/states so far) to stderr")
-	listen := flag.String("listen", "",
+	listen := fs.String("listen", "",
 		"serve live verifier counters at http://ADDR/metrics while the run lasts (e.g. :9090)")
-	pprofFlag := flag.Bool("pprof", false,
+	pprofFlag := fs.Bool("pprof", false,
 		"with -listen: also serve net/http/pprof handlers under /debug/pprof/")
-	witnessDir := flag.String("witness-dir", "",
+	witnessDir := fs.String("witness-dir", "",
 		"capture each distinct violation as a replayable witness artifact under this directory (see sepwitness)")
-	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
-	memprofile := flag.String("memprofile", "", "write a pprof heap profile to this file")
-	flag.Parse()
+	cpuprofile := fs.String("cpuprofile", "", "write a pprof CPU profile to this file")
+	memprofile := fs.String("memprofile", "", "write a pprof heap profile to this file")
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
+	}
 
 	if *list {
 		for _, name := range leakNames() {
-			fmt.Println(name)
+			fmt.Fprintln(stdout, name)
 		}
 		return 0
 	}
 
 	if *metricsFormat != "prom" && *metricsFormat != "json" {
-		fmt.Fprintf(os.Stderr, "sepverify: unknown -metrics-format %q (want prom or json)\n", *metricsFormat)
+		fmt.Fprintf(stderr, "sepverify: unknown -metrics-format %q (want prom or json)\n", *metricsFormat)
 		return 2
 	}
 
 	if *merge {
-		return runMerge(flag.Args())
+		return runMerge(fs.Args(), stdout, stderr)
 	}
 	if *target != "" && !*exhaustive {
-		fmt.Fprintln(os.Stderr, "sepverify: -target requires -exhaustive")
+		fmt.Fprintln(stderr, "sepverify: -target requires -exhaustive")
 		return 2
 	}
 	if *target == "" && (*shardSpec != "" || *shardOut != "" || *checkpoint != "") {
-		fmt.Fprintln(os.Stderr, "sepverify: -shard, -shard-out and -checkpoint require -target")
+		fmt.Fprintln(stderr, "sepverify: -shard, -shard-out and -checkpoint require -target")
 		return 2
 	}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "sepverify:", err)
+			fmt.Fprintln(stderr, "sepverify:", err)
 			return 2
 		}
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "sepverify:", err)
+			fmt.Fprintln(stderr, "sepverify:", err)
 			return 2
 		}
 		defer func() {
@@ -147,19 +156,19 @@ func realMain() int {
 		defer func() {
 			f, err := os.Create(*memprofile)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "sepverify:", err)
+				fmt.Fprintln(stderr, "sepverify:", err)
 				return
 			}
 			defer f.Close()
 			runtime.GC()
 			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, "sepverify:", err)
+				fmt.Fprintln(stderr, "sepverify:", err)
 			}
 		}()
 	}
 
 	if *pprofFlag && *listen == "" {
-		fmt.Fprintln(os.Stderr, "sepverify: -pprof requires -listen")
+		fmt.Fprintln(stderr, "sepverify: -pprof requires -listen")
 		return 2
 	}
 
@@ -179,33 +188,33 @@ func realMain() int {
 		if !*exhaustive {
 			expectStates = variants * uint64(*trials) * uint64(*steps)
 		}
-		stop := startProgress(reg, expectStates)
+		stop := startProgress(stderr, reg, expectStates)
 		defer stop()
 	}
 	if *listen != "" {
 		bound, shutdown, err := obs.ListenMetricsOpts(*listen, reg,
 			obs.ListenOptions{Pprof: *pprofFlag})
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "sepverify:", err)
+			fmt.Fprintln(stderr, "sepverify:", err)
 			return 2
 		}
-		fmt.Fprintf(os.Stderr, "serving metrics at http://%s/metrics\n", bound)
+		fmt.Fprintf(stderr, "serving metrics at http://%s/metrics\n", bound)
 		defer shutdown()
 	}
 
 	if *exhaustive {
 		status := 0
 		if *target != "" {
-			status = runTargetExhaustive(*target, separability.ExhaustiveOptions{
+			status = runTargetExhaustive(stdout, stderr, *target, separability.ExhaustiveOptions{
 				MaxViolations: *maxViolations, Workers: *workers, Metrics: reg,
 				ChunkSize: *chunk, Checkpoint: *checkpoint, CheckpointEvery: *checkpointEvery,
 				ChunkDelay: *throttle,
 			}, *shardSpec, *shardOut)
 		} else {
-			runExhaustive(*workers, reg)
+			runExhaustive(stdout, *workers, reg)
 		}
 		if *metrics {
-			reportMetrics(reg, time.Since(start), *metricsFormat)
+			reportMetrics(stdout, reg, time.Since(start), *metricsFormat)
 		}
 		return status
 	}
@@ -218,16 +227,16 @@ func realMain() int {
 	status := 0
 	if *all {
 		ok := true
-		if r, err := runOne("", true, opt, true, *witnessDir); err != nil {
-			fmt.Fprintln(os.Stderr, "sepverify:", err)
+		if r, err := runOne(stdout, "", true, opt, true, *witnessDir); err != nil {
+			fmt.Fprintln(stderr, "sepverify:", err)
 			return 2
 		} else {
 			ok = r
 		}
 		for _, name := range leakNames() {
-			r, err := runOne(name, true, opt, false, *witnessDir)
+			r, err := runOne(stdout, name, true, opt, false, *witnessDir)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "sepverify:", err)
+				fmt.Fprintln(stderr, "sepverify:", err)
 				return 2
 			}
 			ok = r && ok
@@ -239,7 +248,7 @@ func realMain() int {
 		expectPass := true
 		if *leak != "" {
 			if _, found := kernel.AllLeaks()[*leak]; !found {
-				fmt.Fprintf(os.Stderr, "sepverify: unknown leak %q (try -list)\n", *leak)
+				fmt.Fprintf(stderr, "sepverify: unknown leak %q (try -list)\n", *leak)
 				return 2
 			}
 			expectPass = false
@@ -247,9 +256,9 @@ func realMain() int {
 		if *uncut {
 			expectPass = false
 		}
-		ok, err := runOne(*leak, !*uncut, opt, expectPass, *witnessDir)
+		ok, err := runOne(stdout, *leak, !*uncut, opt, expectPass, *witnessDir)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "sepverify:", err)
+			fmt.Fprintln(stderr, "sepverify:", err)
 			return 2
 		}
 		if !ok {
@@ -258,7 +267,7 @@ func realMain() int {
 	}
 
 	if *metrics {
-		reportMetrics(reg, time.Since(start), *metricsFormat)
+		reportMetrics(stdout, reg, time.Since(start), *metricsFormat)
 	}
 	return status
 }
@@ -275,7 +284,7 @@ func leakNames() []string {
 // runOne verifies one variant: leakName names a planted leak ("" = the
 // honest kernel). With witnessDir set, every distinct violation is
 // captured, shrunk and persisted under a per-variant subdirectory.
-func runOne(leakName string, cut bool, opt separability.Options, expectPass bool, witnessDir string) (bool, error) {
+func runOne(stdout io.Writer, leakName string, cut bool, opt separability.Options, expectPass bool, witnessDir string) (bool, error) {
 	name := leakName
 	if name == "" {
 		name = "honest"
@@ -294,7 +303,7 @@ func runOne(leakName string, cut bool, opt separability.Options, expectPass bool
 	if !good {
 		verdict = "UNEXPECTED"
 	}
-	fmt.Printf("%-22s %-60s [%s]\n", name+":", res.Summary(), verdict)
+	fmt.Fprintf(stdout, "%-22s %-60s [%s]\n", name+":", res.Summary(), verdict)
 	if !res.Passed() {
 		seen := map[separability.Condition]bool{}
 		for _, v := range res.Violations {
@@ -302,7 +311,7 @@ func runOne(leakName string, cut bool, opt separability.Options, expectPass bool
 				continue
 			}
 			seen[v.Condition] = true
-			fmt.Printf("    %s\n", v)
+			fmt.Fprintf(stdout, "    %s\n", v)
 		}
 	}
 	if witnessDir != "" && !res.Passed() {
@@ -323,7 +332,7 @@ func runOne(leakName string, cut bool, opt separability.Options, expectPass bool
 		for _, w := range ws {
 			dropped += w.OrigSteps - len(w.Steps)
 		}
-		fmt.Printf("    witnesses: %d captured -> %s (%d ops shrunk away)\n",
+		fmt.Fprintf(stdout, "    witnesses: %d captured -> %s (%d ops shrunk away)\n",
 			len(ws), dir, dropped)
 	}
 	return good, nil
@@ -334,7 +343,7 @@ func runOne(leakName string, cut bool, opt separability.Options, expectPass bool
 // Lines carry live throughput (states/sec over a ~5s sliding window) and,
 // when expectStates > 0, an ETA; exhaustive passes report percent of the
 // enumerated space completed instead (from the sep_exh_* counters).
-func startProgress(reg *obs.Registry, expectStates uint64) (stop func()) {
+func startProgress(stderr io.Writer, reg *obs.Registry, expectStates uint64) (stop func()) {
 	done := make(chan struct{})
 	finished := make(chan struct{})
 	type sample struct {
@@ -346,7 +355,7 @@ func startProgress(reg *obs.Registry, expectStates uint64) (stop func()) {
 		now := time.Now()
 		if space := reg.CounterValue("sep_exh_space_total"); space > 0 {
 			doneU := reg.CounterValue("sep_exh_states_total")
-			fmt.Fprintf(os.Stderr, "progress: exhaustive %d/%d units (%.1f%%)\n",
+			fmt.Fprintf(stderr, "progress: exhaustive %d/%d units (%.1f%%)\n",
 				doneU, space, 100*float64(doneU)/float64(space))
 			return
 		}
@@ -367,7 +376,7 @@ func startProgress(reg *obs.Registry, expectStates uint64) (stop func()) {
 				extra += ")"
 			}
 		}
-		fmt.Fprintf(os.Stderr, "progress: trials=%d states=%d violations=%d%s\n",
+		fmt.Fprintf(stderr, "progress: trials=%d states=%d violations=%d%s\n",
 			reg.CounterValue("sep_trials_total"), states,
 			reg.CounterValue("sep_violations_total"), extra)
 	}
@@ -393,18 +402,18 @@ func startProgress(reg *obs.Registry, expectStates uint64) (stop func()) {
 
 // reportMetrics prints the human throughput summary followed by the raw
 // registry dump in the requested format.
-func reportMetrics(reg *obs.Registry, elapsed time.Duration, format string) {
+func reportMetrics(stdout io.Writer, reg *obs.Registry, elapsed time.Duration, format string) {
 	sec := elapsed.Seconds()
 	trials := reg.CounterValue("sep_trials_total")
 	states := reg.CounterValue("sep_states_checked_total")
-	fmt.Printf("\nverifier throughput (%.3fs wall):\n", sec)
-	fmt.Printf("  trials: %d (%.1f/s)   states: %d (%.0f/s)\n",
+	fmt.Fprintf(stdout, "\nverifier throughput (%.3fs wall):\n", sec)
+	fmt.Fprintf(stdout, "  trials: %d (%.1f/s)   states: %d (%.0f/s)\n",
 		trials, float64(trials)/sec, states, float64(states)/sec)
 
-	fmt.Println("  per-condition checks:")
+	fmt.Fprintln(stdout, "  per-condition checks:")
 	for _, cv := range reg.Counters() {
 		if strings.HasPrefix(cv.Name, "sep_checks_total{") {
-			fmt.Printf("    %-40s %d\n", cv.Name, cv.Value)
+			fmt.Fprintf(stdout, "    %-40s %d\n", cv.Name, cv.Value)
 		}
 	}
 
@@ -417,9 +426,9 @@ func reportMetrics(reg *obs.Registry, elapsed time.Duration, format string) {
 		}
 	}
 	if len(perOp) > 0 {
-		fmt.Println("  per-op checks:")
+		fmt.Fprintln(stdout, "  per-op checks:")
 		for _, cv := range perOp {
-			fmt.Printf("    %-40s %d\n", cv.Name, cv.Value)
+			fmt.Fprintf(stdout, "    %-40s %d\n", cv.Name, cv.Value)
 		}
 	}
 
@@ -453,7 +462,7 @@ func reportMetrics(reg *obs.Registry, elapsed time.Duration, format string) {
 	}
 	if len(ids) > 0 {
 		sort.Strings(ids)
-		fmt.Println("  per-worker:")
+		fmt.Fprintln(stdout, "  per-worker:")
 		for _, id := range ids {
 			w := byWorker[id]
 			busy := float64(w.busyUS) / 1e6
@@ -461,17 +470,17 @@ func reportMetrics(reg *obs.Registry, elapsed time.Duration, format string) {
 			if busy > 0 {
 				sps = float64(w.states) / busy
 			}
-			fmt.Printf("    worker %-3s trials=%-4d states=%-7d busy=%.3fs (%.0f states/s)\n",
+			fmt.Fprintf(stdout, "    worker %-3s trials=%-4d states=%-7d busy=%.3fs (%.0f states/s)\n",
 				id, w.trials, w.states, busy, sps)
 		}
 	}
 
-	fmt.Println("\nmetrics:")
+	fmt.Fprintln(stdout, "\nmetrics:")
 	if format == "json" {
-		reg.WriteJSON(os.Stdout)
-		fmt.Println()
+		reg.WriteJSON(stdout)
+		fmt.Fprintln(stdout)
 	} else {
-		reg.WritePrometheus(os.Stdout)
+		reg.WritePrometheus(stdout)
 	}
 }
 
@@ -516,15 +525,15 @@ func parseShard(s string) (shard, shards int, err error) {
 // checkpoint. A single-shard run is judged against the target's expected
 // verdict; a k/n shard carries no verdict of its own (the leak may live in
 // another shard) and exits 0 unless the sweep itself failed.
-func runTargetExhaustive(name string, opt separability.ExhaustiveOptions, shardSpec, shardOut string) int {
+func runTargetExhaustive(stdout, stderr io.Writer, name string, opt separability.ExhaustiveOptions, shardSpec, shardOut string) int {
 	t, err := verifysys.FindExhaustiveTarget(name)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "sepverify:", err)
+		fmt.Fprintln(stderr, "sepverify:", err)
 		return 2
 	}
 	opt.Target = name
 	if opt.Shard, opt.Shards, err = parseShard(shardSpec); err != nil {
-		fmt.Fprintln(os.Stderr, "sepverify:", err)
+		fmt.Fprintln(stderr, "sepverify:", err)
 		return 2
 	}
 	// Announce an adopted checkpoint before the sweep so supervisors (and
@@ -533,83 +542,83 @@ func runTargetExhaustive(name string, opt separability.ExhaustiveOptions, shardS
 	if opt.Checkpoint != "" {
 		ck, err := separability.ReadShardCheckpoint(opt.Checkpoint)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "sepverify:", err)
+			fmt.Fprintln(stderr, "sepverify:", err)
 			return 2
 		}
 		if ck != nil {
-			fmt.Fprintf(os.Stderr, "sepverify: resumed shard %d/%d of %s from %s (frontier %d of chunks [%d,%d))\n",
+			fmt.Fprintf(stderr, "sepverify: resumed shard %d/%d of %s from %s (frontier %d of chunks [%d,%d))\n",
 				ck.Shard, ck.Shards, name, opt.Checkpoint, ck.Frontier, ck.StartChunk, ck.EndChunk)
 		}
 	}
 	sr, err := separability.CheckExhaustiveShard(t.Build(), opt)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "sepverify:", err)
+		fmt.Fprintln(stderr, "sepverify:", err)
 		return 2
 	}
 	if shardOut != "" {
 		if err := sr.WriteFile(shardOut); err != nil {
-			fmt.Fprintln(os.Stderr, "sepverify:", err)
+			fmt.Fprintln(stderr, "sepverify:", err)
 			return 2
 		}
 	}
 	res, err := sr.Result()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "sepverify:", err)
+		fmt.Fprintln(stderr, "sepverify:", err)
 		return 2
 	}
 	if opt.Shards > 1 {
-		fmt.Printf("%-22s shard %d/%d chunks [%d,%d): %s\n",
+		fmt.Fprintf(stdout, "%-22s shard %d/%d chunks [%d,%d): %s\n",
 			name+":", opt.Shard, opt.Shards, sr.StartChunk, sr.EndChunk, res.Summary())
 		return 0
 	}
-	return printExhaustiveVerdict(name, res, t.Secure)
+	return printExhaustiveVerdict(stdout, name, res, t.Secure)
 }
 
 // runMerge folds a complete set of shard-result files into the combined
 // verdict, which is identical to an unsharded run of the same target. The
 // exit status follows the target's expected verdict when the stamped target
 // name is registered here.
-func runMerge(paths []string) int {
+func runMerge(paths []string, stdout, stderr io.Writer) int {
 	if len(paths) == 0 {
-		fmt.Fprintln(os.Stderr, "sepverify: -merge needs shard-result files as arguments")
+		fmt.Fprintln(stderr, "sepverify: -merge needs shard-result files as arguments")
 		return 2
 	}
 	srs := make([]*separability.ShardResult, 0, len(paths))
 	for _, p := range paths {
 		sr, err := separability.ReadShardResult(p)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "sepverify:", err)
+			fmt.Fprintln(stderr, "sepverify:", err)
 			return 2
 		}
 		srs = append(srs, sr)
 	}
 	res, err := separability.MergeShards(srs)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "sepverify:", err)
+		fmt.Fprintln(stderr, "sepverify:", err)
 		return 2
 	}
 	name := srs[0].Target
 	if name == "" {
-		fmt.Printf("%-22s %s\n", "merged:", res.Summary())
+		fmt.Fprintf(stdout, "%-22s %s\n", "merged:", res.Summary())
 		return 0
 	}
 	t, err := verifysys.FindExhaustiveTarget(name)
 	if err != nil {
-		fmt.Printf("%-22s %s\n", name+":", res.Summary())
+		fmt.Fprintf(stdout, "%-22s %s\n", name+":", res.Summary())
 		return 0
 	}
-	return printExhaustiveVerdict(name, res, t.Secure)
+	return printExhaustiveVerdict(stdout, name, res, t.Secure)
 }
 
 // printExhaustiveVerdict reports one target's combined result in the same
 // shape runOne uses for kernel checks, returning the exit status.
-func printExhaustiveVerdict(name string, res *separability.Result, expectSecure bool) int {
+func printExhaustiveVerdict(stdout io.Writer, name string, res *separability.Result, expectSecure bool) int {
 	verdict := "as expected"
 	good := res.Passed() == expectSecure
 	if !good {
 		verdict = "UNEXPECTED"
 	}
-	fmt.Printf("%-22s %-60s [%s]\n", name+":", res.Summary(), verdict)
+	fmt.Fprintf(stdout, "%-22s %-60s [%s]\n", name+":", res.Summary(), verdict)
 	if !res.Passed() {
 		seen := map[separability.Condition]bool{}
 		for _, v := range res.Violations {
@@ -617,7 +626,7 @@ func printExhaustiveVerdict(name string, res *separability.Result, expectSecure 
 				continue
 			}
 			seen[v.Condition] = true
-			fmt.Printf("    %s\n", v)
+			fmt.Fprintf(stdout, "    %s\n", v)
 		}
 	}
 	if good {
@@ -628,15 +637,15 @@ func printExhaustiveVerdict(name string, res *separability.Result, expectSecure 
 
 // runExhaustive performs the explicit-state proofs: the full MiniSUE state
 // space and the toy-system calibration suite.
-func runExhaustive(workers int, reg *obs.Registry) {
-	fmt.Println("exhaustive proof over MiniSUE (a kernel-shaped model, ~74k states x 4 inputs):")
+func runExhaustive(stdout io.Writer, workers int, reg *obs.Registry) {
+	fmt.Fprintln(stdout, "exhaustive proof over MiniSUE (a kernel-shaped model, ~74k states x 4 inputs):")
 	for _, v := range []minisue.Variant{minisue.Secure, minisue.RegisterLeak,
 		minisue.InterruptMisroute, minisue.SharedCell} {
 		res := separability.CheckExhaustiveOpt(minisue.New(v),
 			separability.ExhaustiveOptions{MaxViolations: 8, Workers: workers, Metrics: reg})
-		fmt.Printf("  %-20s %s\n", minisue.VariantName(v)+":", res.Summary())
+		fmt.Fprintf(stdout, "  %-20s %s\n", minisue.VariantName(v)+":", res.Summary())
 	}
-	fmt.Println("\ncalibration toys (1024 states x 4 inputs, one condition violated each):")
+	fmt.Fprintln(stdout, "\ncalibration toys (1024 states x 4 inputs, one condition violated each):")
 	variants := []separability.ToyVariant{separability.ToySecure,
 		separability.ToyCovertStore, separability.ToyDirectWrite,
 		separability.ToyInputSnoop, separability.ToyInputCross,
@@ -644,6 +653,6 @@ func runExhaustive(workers int, reg *obs.Registry) {
 	for _, v := range variants {
 		res := separability.CheckExhaustiveOpt(separability.NewToySystem(v),
 			separability.ExhaustiveOptions{MaxViolations: 4, Workers: workers, Metrics: reg})
-		fmt.Printf("  %-20s %s\n", separability.ToyVariantName(v)+":", res.Summary())
+		fmt.Fprintf(stdout, "  %-20s %s\n", separability.ToyVariantName(v)+":", res.Summary())
 	}
 }

@@ -192,7 +192,7 @@ func TestServeCyclesAndEndpoints(t *testing.T) {
 		}
 		// Ready means every deployment has been verified at least once: a
 		// deployment still waiting for its first build reports
-		// healthy=false because it has no verdict yet.
+		// state "pending" (healthy=false) because it has no verdict yet.
 		if err == nil && len(status.Deployments) == 2 &&
 			status.Deployments[0].Builds > 0 && status.Deployments[1].Builds > 0 {
 			break

@@ -2,10 +2,14 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"repro/internal/model"
 	"repro/internal/separability"
 	"repro/internal/verifysys"
 	"repro/internal/witness"
@@ -73,6 +77,46 @@ func TestCLIListShowReplayDiff(t *testing.T) {
 	}
 	if code, _, _ = run(t, "-dir", dir, "diff", t.TempDir()); code != 1 {
 		t.Errorf("diff vs empty store: code=%d, want 1", code)
+	}
+}
+
+// TestCLIStaleDigestVersion runs the CLI over a store rewritten to the
+// shape written before the Φ digest was versioned (no digestVersion
+// field): list and show still work, and replay fails, exit 1, asking for
+// a re-capture.
+func TestCLIStaleDigestVersion(t *testing.T) {
+	dir := captureDir(t)
+	ws, err := witness.Load(dir)
+	if err != nil || len(ws) == 0 {
+		t.Fatalf("load: %d witnesses, err=%v", len(ws), err)
+	}
+	var manifest []byte
+	for _, w := range ws {
+		w.DigestVersion, w.ID = 0, ""
+		if w.ID, err = witness.ContentID(w); err != nil {
+			t.Fatal(err)
+		}
+		line, err := json.Marshal(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		manifest = append(append(manifest, line...), '\n')
+	}
+	if err := os.WriteFile(filepath.Join(dir, "manifest.jsonl"), manifest, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	id := ws[0].ID
+
+	if code, out, _ := run(t, "-dir", dir, "list"); code != 0 || !strings.Contains(out, id) {
+		t.Fatalf("list: code=%d out=%q", code, out)
+	}
+	if code, out, _ := run(t, "-dir", dir, "show", id); code != 0 || strings.Contains(out, "digestVersion") {
+		t.Fatalf("show: code=%d out=%q", code, out)
+	}
+	code, out, _ := run(t, "-dir", dir, "replay", id)
+	want := fmt.Sprintf("captured under Φ digest version 0, this build uses %d: re-capture", model.DigestVersion)
+	if code != 1 || !strings.Contains(out, "FAIL "+id) || !strings.Contains(out, want) {
+		t.Fatalf("replay: code=%d out=%q, want exit 1 and %q", code, out, want)
 	}
 }
 

@@ -245,14 +245,17 @@ func (a *Adapter) walkPhi(i int) []Word {
 		m.ReadPhys(sb+saveIPL))
 	fs = append(fs, phiField{kind: phiRegs, end: len(w)})
 
-	for off := Word(0); off < r.Size; off++ {
-		w = append(w, m.ReadPhys(r.Base+off))
-	}
+	// New rejects partitions that exceed RAM, so this is one copy.
+	w = m.AppendPhys(w, r.Base, int(r.Size))
 	fs = append(fs, phiField{kind: phiMem, end: len(w)})
 
 	for _, d := range r.Devices {
-		st := d.SnapshotState()
-		w = append(append(w, Word(len(st)>>16), Word(len(st))), st...)
+		// Append the state after two placeholder words, then fill them
+		// with its length.
+		at := len(w)
+		w = d.AppendState(append(w, 0, 0))
+		n := len(w) - at - 2
+		w[at], w[at+1] = Word(n>>16), Word(n)
 		fs = append(fs, phiField{phiDev, d.Name(), len(w)})
 	}
 
@@ -324,19 +327,51 @@ func (a *Adapter) Abstract(c model.Colour) string {
 }
 
 // AbstractDigest implements model.Digester: a 64-bit hash of the Φ^c
-// vector, absorbed one word at a time with no text and no per-call
-// buffers. Every absorb step (xor, multiply by an odd constant, xorshift)
-// is a bijection of the hash state, so vectors that differ in one word
-// never collide. The constants are fixed: witnesses persist digests.
+// vector with no text and no per-call buffers (see phiDigest).
 func (a *Adapter) AbstractDigest(c model.Colour) uint64 {
-	h := uint64(0xcbf29ce484222325)
-	if i := a.K.RegimeIndex(string(c)); i >= 0 {
-		for _, x := range a.walkPhi(i) {
-			h = (h ^ uint64(x)) * 0x9e3779b97f4a7c15
-			h ^= h >> 32
-		}
+	i := a.K.RegimeIndex(string(c))
+	if i < 0 {
+		return phiSeed
 	}
-	return h
+	return phiDigest(a.walkPhi(i))
+}
+
+// The digest constants are fixed, because witnesses persist digests; a
+// change to phiDigest's definition bumps model.DigestVersion.
+const (
+	phiSeed uint64 = 0xcbf29ce484222325
+	phiMul  uint64 = 0x9e3779b97f4a7c15
+)
+
+// absorb is the digest's step: xor, multiply by an odd constant,
+// xorshift. It is a bijection of h for fixed x and of x for fixed h.
+func absorb(h, x uint64) uint64 {
+	h = (h ^ x) * phiMul
+	return h ^ h>>32
+}
+
+// phiDigest hashes w in four independent lanes, so the multiplies of
+// neighbouring words overlap instead of forming one serial chain. Word j
+// goes to lane j mod 4, except that the len(w) mod 4 tail words go to
+// lane 0, which then absorbs len(w); lanes 1–3 are folded into it in
+// order. Two vectors of one length that differ in one word differ in
+// exactly one lane, and every later step is a bijection of the value that
+// differs, so such vectors never collide.
+func phiDigest(w []Word) uint64 {
+	h0, h1, h2, h3 := phiSeed, phiSeed, phiSeed, phiSeed
+	n := len(w)
+	for ; len(w) >= 4; w = w[4:] {
+		q := w[:4]
+		h0 = absorb(h0, uint64(q[0]))
+		h1 = absorb(h1, uint64(q[1]))
+		h2 = absorb(h2, uint64(q[2]))
+		h3 = absorb(h3, uint64(q[3]))
+	}
+	for _, x := range w {
+		h0 = absorb(h0, uint64(x))
+	}
+	h0 = absorb(h0, uint64(n))
+	return absorb(absorb(absorb(h0, h1), h2), h3)
 }
 
 // appendHex appends each word as four lower-case hex digits.

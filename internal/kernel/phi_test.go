@@ -73,7 +73,10 @@ func cloneSnapshot(s *machine.Snapshot) *machine.Snapshot {
 // the original afterwards: live registers and condition codes, every
 // save-area word (r0–r5, sp, pc, cc, st, pend, ipl of a descheduled
 // regime), partition words, owned device state including a change of its
-// length, and channel headers and buffers.
+// length, and channel headers and buffers. It also aims at the digest's
+// lane layout: exchanges of two words that land in different lanes, and
+// mutations of a vector's last word at every length mod 4, so that the
+// last word is in turn a lane-0 tail word and a lane-3 word.
 func mutateWords(o *phiOracle, a *kernel.Adapter, rng *rand.Rand) {
 	m := a.K.Machine()
 	cfg := a.K.Config()
@@ -83,12 +86,13 @@ func mutateWords(o *phiOracle, a *kernel.Adapter, rng *rand.Rand) {
 			o.t.Fatal(err)
 		}
 	}
-	try := func(what string, mut func(s *machine.Snapshot)) {
-		s := cloneSnapshot(base)
+	tryFrom := func(from *machine.Snapshot, what string, mut func(s *machine.Snapshot)) {
+		s := cloneSnapshot(from)
 		mut(s)
 		restore(s)
 		o.observe(a, what)
 	}
+	try := func(what string, mut func(s *machine.Snapshot)) { tryFrom(base, what, mut) }
 	for r := 0; r < 8; r++ {
 		try("register", func(s *machine.Snapshot) { s.Regs[r] ^= 1 })
 	}
@@ -103,9 +107,21 @@ func mutateWords(o *phiOracle, a *kernel.Adapter, rng *rand.Rand) {
 			v := machine.Word(1 + rng.Intn(0xffff))
 			try("partition", func(s *machine.Snapshot) { s.RAM[spec.Base+off] ^= v })
 		}
+		// The first partition words sit at vector positions 12 to 15,
+		// one per lane: exchange neighbours, made distinct first.
+		for off := machine.Word(0); off < 3; off++ {
+			x, y := machine.Word(rng.Intn(0x8000)), machine.Word(0x8000+rng.Intn(0x8000))
+			for _, xy := range [][2]machine.Word{{x, y}, {y, x}} {
+				try("lane exchange", func(s *machine.Snapshot) {
+					s.RAM[spec.Base+off], s.RAM[spec.Base+off+1] = xy[0], xy[1]
+				})
+			}
+		}
 	}
 	chans := kernel.ChannelAreaBase(len(cfg.Regimes))
+	var lastChan machine.Word
 	for _, ch := range cfg.Channels {
+		lastChan = chans
 		size := machine.Word(8 + 2*ch.Capacity)
 		for off := machine.Word(0); off < size; off++ {
 			// Every header word; a sample of the buffer words.
@@ -115,6 +131,25 @@ func mutateWords(o *phiOracle, a *kernel.Adapter, rng *rand.Rand) {
 			try("channel", func(s *machine.Snapshot) { s.RAM[chans+off] ^= 1 })
 		}
 		chans += size
+	}
+	// Lane tails: the last configured channel's receiver ends its vector
+	// with that channel's newest buffered word. Read counts 1 to 4 put
+	// the vector length at every residue mod 4; each newest word is
+	// mutated.
+	if n := len(cfg.Channels); n > 0 {
+		capa := machine.Word(cfg.Channels[n-1].Capacity)
+		head, count, buf := lastChan, lastChan+2, lastChan+8
+		if cfg.CutChannels {
+			head, count, buf = lastChan+4, lastChan+6, lastChan+8+capa
+		}
+		for cnt := machine.Word(1); cnt <= 4 && cnt <= capa; cnt++ {
+			s := cloneSnapshot(base)
+			s.RAM[count] = cnt
+			restore(s)
+			o.observe(a, "lane tail")
+			newest := buf + (s.RAM[head]+cnt-1)%capa
+			tryFrom(s, "lane tail", func(s *machine.Snapshot) { s.RAM[newest] ^= 1 })
+		}
 	}
 	for di, d := range m.Devices() {
 		if _, ok := d.(*machine.TTY); !ok {
@@ -234,5 +269,39 @@ func TestExtractMatchesReference(t *testing.T) {
 	// non-empty output extracts too.
 	if len(a.CurrentOutput().(kernel.OutputVec)["tty0"]) == 0 {
 		t.Fatal("the TTY produced no output, so no non-empty extract was compared")
+	}
+}
+
+// TestAbstractDigestAllocatesNothing pins the digest path's allocation
+// budget at zero on the honest kernel with its TTY holding queued input
+// and output, with and without an active checkpoint: the Φ vector, the
+// partition copy and the device state all land in the adapter's reusable
+// buffer.
+func TestAbstractDigestAllocatesNothing(t *testing.T) {
+	a, err := verifysys.Build(verifysys.ProbePlain, kernel.Leaks{}, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.Randomize(rand.New(rand.NewSource(3)))
+	m := a.K.Machine()
+	tty := m.Devices()[0]
+	m.Inject(tty, []machine.Word{'a', 'b', 'c'})
+	if n := len(tty.AppendState(nil)); n <= 10 {
+		t.Fatalf("TTY state has %d words; want queued words beyond the 10 fixed ones", n)
+	}
+	cs := a.Colours()
+	digestAll := func() {
+		for _, c := range cs {
+			a.AbstractDigest(c)
+		}
+	}
+	digestAll() // size the reusable buffers
+	if n := testing.AllocsPerRun(50, digestAll); n != 0 {
+		t.Errorf("AbstractDigest allocates %.1f times per pass over %d colours, want 0", n, len(cs))
+	}
+	cp := a.Checkpoint()
+	defer a.Release(cp)
+	if n := testing.AllocsPerRun(50, digestAll); n != 0 {
+		t.Errorf("AbstractDigest under a checkpoint allocates %.1f times per pass, want 0", n)
 	}
 }

@@ -40,7 +40,7 @@ func ReferenceAbstract(a *Adapter, c model.Colour) string {
 	// Owned devices.
 	for _, d := range r.Devices {
 		fmt.Fprintf(&b, "dev:%s=", d.Name())
-		for _, w := range d.SnapshotState() {
+		for _, w := range d.AppendState(nil) {
 			fmt.Fprintf(&b, "%04x", w)
 		}
 		b.WriteByte(';')

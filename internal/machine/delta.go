@@ -210,7 +210,7 @@ func (m *Machine) touchDevice(i int) {
 	m.devVer[i]++
 	if d := m.delta; d != nil && !d.devTouched[i] {
 		d.devTouched[i] = true
-		d.devOld[i] = append(d.devOld[i][:0], m.devices[i].SnapshotState()...)
+		d.devOld[i] = m.devices[i].AppendState(d.devOld[i][:0])
 		d.devVerAt[i] = m.devVer[i] - 1
 	}
 }

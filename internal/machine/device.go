@@ -26,9 +26,11 @@ type Device interface {
 	Priority() int
 	// Ack tells the device its interrupt has been taken.
 	Ack()
-	// SnapshotState serializes all security-relevant device state.
-	SnapshotState() []Word
-	// RestoreState is the inverse of SnapshotState.
+	// AppendState appends all security-relevant device state to dst and
+	// returns the extended slice; dst's prefix is left as it was.
+	AppendState(dst []Word) []Word
+	// RestoreState is the inverse of AppendState: it reads a state
+	// AppendState produced, without retaining ws.
 	RestoreState(ws []Word)
 }
 

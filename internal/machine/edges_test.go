@@ -1,6 +1,7 @@
 package machine_test
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/asm"
@@ -169,14 +170,14 @@ func TestLinkDeviceSnapshotRoundTrip(t *testing.T) {
 	tx, rx := machine.NewLink("w", 4)
 	tx.WriteReg(0, 0x40)
 	tx.Tick()
-	s := tx.SnapshotState()
+	s := tx.AppendState(nil)
 	tx2, _ := machine.NewLink("w2", 4)
 	tx2.RestoreState(s)
-	if tx2.SnapshotState()[0] != s[0] {
+	if tx2.AppendState(nil)[0] != s[0] {
 		t.Error("LinkTX state did not round-trip")
 	}
 	rx.WriteReg(0, 0x40)
-	rs := rx.SnapshotState()
+	rs := rx.AppendState(nil)
 	if len(rs) != 3 {
 		t.Errorf("LinkRX snapshot = %v", rs)
 	}
@@ -208,7 +209,7 @@ func TestPrinterDevice(t *testing.T) {
 		t.Errorf("printed %q", got)
 	}
 	// Snapshot round-trip with output buffered.
-	s := p.SnapshotState()
+	s := p.AppendState(nil)
 	p2 := machine.NewPrinter("lp2", 2)
 	p2.RestoreState(s)
 	if p2.OutputString() != "AB" {
@@ -222,11 +223,11 @@ func TestClockSnapshotRoundTrip(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		c.Tick()
 	}
-	s := c.SnapshotState()
+	s := c.AppendState(nil)
 	c2 := machine.NewClock("c2", 7)
 	c2.RestoreState(s)
 	for i := range s {
-		if c2.SnapshotState()[i] != s[i] {
+		if c2.AppendState(nil)[i] != s[i] {
 			t.Fatalf("clock state word %d did not round-trip", i)
 		}
 	}
@@ -265,5 +266,94 @@ func TestUnknownOpcodeTraps(t *testing.T) {
 	m.Run(20)
 	if !m.Halted() || m.PC() != 0x201 {
 		t.Errorf("undefined opcode did not trap; PC=%#x", m.PC())
+	}
+}
+
+// TestAppendStatePrefixAndRoundTrip holds every device's AppendState to
+// its contract: the words already in dst stay as they were (also when dst
+// has spare capacity to append into), the appended part equals a fresh
+// AppendState(nil), and RestoreState of the appended part on a power-on
+// device reproduces it.
+func TestAppendStatePrefixAndRoundTrip(t *testing.T) {
+	tty := machine.NewTTY("tty", 3)
+	tty.InjectString("hi!")
+	tty.WriteReg(0, 0x40)
+	tty.WriteReg(3, 'o')
+	tty.Tick()
+	tty.WriteReg(2, 0x40)
+
+	lp := machine.NewPrinter("lp", 2)
+	lp.WriteReg(0, 0x40)
+	lp.WriteReg(1, 'x')
+	lp.Tick()
+
+	clk := machine.NewClock("clk", 3)
+	clk.WriteReg(0, 0x40)
+	for i := 0; i < 5; i++ {
+		clk.Tick()
+	}
+
+	tx, rx := machine.NewLink("w", 4)
+	tx.WriteReg(0, 0x40)
+	tx.Tick()
+	rx.WriteReg(0, 0x40)
+	tx2, rx2 := machine.NewLink("w2", 4)
+
+	for _, c := range []struct {
+		dev, fresh machine.Device
+	}{
+		{tty, machine.NewTTY("tty2", 3)},
+		{lp, machine.NewPrinter("lp2", 2)},
+		{clk, machine.NewClock("clk2", 3)},
+		{tx, tx2},
+		{rx, rx2},
+	} {
+		want := c.dev.AppendState(nil)
+		prefix := []machine.Word{0xaaaa, 0xbbbb, 0xcccc}
+		dst := append(make([]machine.Word, 0, 64), prefix...)
+		got := c.dev.AppendState(dst)
+		if !slices.Equal(got[:len(prefix)], prefix) || !slices.Equal(got[len(prefix):], want) {
+			t.Fatalf("%s: AppendState(%v) = %v, want the prefix then %v", c.dev.Name(), prefix, got, want)
+		}
+		c.fresh.RestoreState(got[len(prefix):])
+		if back := c.fresh.AppendState(nil); !slices.Equal(back, want) {
+			t.Fatalf("%s: restored state %v, want %v", c.dev.Name(), back, want)
+		}
+		// RestoreState keeps no alias of its argument.
+		for i := len(prefix); i < len(got); i++ {
+			got[i] = ^got[i]
+		}
+		if back := c.fresh.AppendState(nil); !slices.Equal(back, want) {
+			t.Fatalf("%s: RestoreState retained its argument: %v, want %v", c.dev.Name(), back, want)
+		}
+	}
+}
+
+// TestAppendPhys pins AppendPhys to ReadPhys word for word, keeps dst's
+// prefix, and checks that the result is a copy: writing it does not reach
+// RAM.
+func TestAppendPhys(t *testing.T) {
+	m := machine.New(0x100)
+	for a := machine.Word(0); a < 0x100; a++ {
+		m.WritePhys(a, a*7+1)
+	}
+	for _, span := range []struct {
+		a machine.Word
+		n int
+	}{{0, 0}, {0, 0x100}, {0x10, 5}, {0xf8, 8}} {
+		got := m.AppendPhys([]machine.Word{0xdead}, span.a, span.n)
+		if len(got) != 1+span.n || got[0] != 0xdead {
+			t.Fatalf("AppendPhys(%#x, %d): len %d, prefix %#x", span.a, span.n, len(got), got[0])
+		}
+		for i := 0; i < span.n; i++ {
+			if want := m.ReadPhys(span.a + machine.Word(i)); got[1+i] != want {
+				t.Fatalf("AppendPhys(%#x, %d)[%d] = %#x, ReadPhys = %#x", span.a, span.n, i, got[1+i], want)
+			}
+		}
+	}
+	got := m.AppendPhys(nil, 0x20, 4)
+	got[0] ^= 0xffff
+	if m.ReadPhys(0x20) != 0x20*7+1 {
+		t.Fatal("AppendPhys returned a view of RAM")
 	}
 }

@@ -113,10 +113,10 @@ func (l *LinkTX) Pending() bool { return l.pend }
 // Ack implements Device.
 func (l *LinkTX) Ack() { l.pend = false }
 
-// SnapshotState implements Device. Only the endpoint latches are machine
+// AppendState implements Device. Only the endpoint latches are machine
 // state; wire contents belong to the environment.
-func (l *LinkTX) SnapshotState() []Word {
-	return []Word{boolWord(l.ie), boolWord(l.pend), boolWord(l.wasR)}
+func (l *LinkTX) AppendState(dst []Word) []Word {
+	return append(dst, boolWord(l.ie), boolWord(l.pend), boolWord(l.wasR))
 }
 
 // RestoreState implements Device.
@@ -189,9 +189,9 @@ func (l *LinkRX) Pending() bool { return l.pend }
 // Ack implements Device.
 func (l *LinkRX) Ack() { l.pend = false }
 
-// SnapshotState implements Device.
-func (l *LinkRX) SnapshotState() []Word {
-	return []Word{boolWord(l.ie), boolWord(l.pend), boolWord(l.wasR)}
+// AppendState implements Device.
+func (l *LinkRX) AppendState(dst []Word) []Word {
+	return append(dst, boolWord(l.ie), boolWord(l.pend), boolWord(l.wasR))
 }
 
 // RestoreState implements Device.

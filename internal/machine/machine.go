@@ -209,6 +209,14 @@ func (m *Machine) ReadPhys(a Word) Word {
 	return v
 }
 
+// AppendPhys appends the n RAM words at physical addresses a, a+1, … to
+// dst and returns the extended slice; the span must lie in RAM. The
+// result is a copy, never a view of RAM, so every store still goes
+// through the write barrier.
+func (m *Machine) AppendPhys(dst []Word, a Word, n int) []Word {
+	return append(dst, m.ram[a:int(a)+n]...)
+}
+
 // WritePhys writes physical address a without translation.
 func (m *Machine) WritePhys(a Word, v Word) {
 	m.physWrite(a, v)

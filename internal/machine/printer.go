@@ -116,10 +116,10 @@ func (p *Printer) OutputString() string {
 	return string(b)
 }
 
-// SnapshotState implements Device.
-func (p *Printer) SnapshotState() []Word {
-	ws := []Word{Word(p.busy), boolWord(p.ie), boolWord(p.pend), Word(len(p.out))}
-	return append(ws, p.out...)
+// AppendState implements Device.
+func (p *Printer) AppendState(dst []Word) []Word {
+	dst = append(dst, Word(p.busy), boolWord(p.ie), boolWord(p.pend), Word(len(p.out)))
+	return append(dst, p.out...)
 }
 
 // RestoreState implements Device.
@@ -128,5 +128,7 @@ func (p *Printer) RestoreState(ws []Word) {
 	p.ie = ws[1] != 0
 	p.pend = ws[2] != 0
 	n := int(ws[3])
-	p.out = append([]Word(nil), ws[4:4+n]...)
+	// The buffer is private (PeekOutput copies, DrainOutput hands it
+	// over), so a rollback refills it in place.
+	p.out = append(p.out[:0], ws[4:4+n]...)
 }

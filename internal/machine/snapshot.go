@@ -41,7 +41,7 @@ func (m *Machine) Snapshot() *Snapshot {
 		RAM:      append([]Word(nil), m.ram...),
 	}
 	for _, d := range m.devices {
-		s.Devices = append(s.Devices, d.SnapshotState())
+		s.Devices = append(s.Devices, d.AppendState(nil))
 	}
 	return s
 }

@@ -196,17 +196,15 @@ func (t *TTY) Ack() {
 	t.txPend = false
 }
 
-// SnapshotState implements Device.
-func (t *TTY) SnapshotState() []Word {
-	ws := []Word{
+// AppendState implements Device.
+func (t *TTY) AppendState(dst []Word) []Word {
+	dst = append(dst,
 		boolWord(t.rxReady), boolWord(t.rxIE), t.rxData,
 		Word(t.rxDelay), Word(t.txBusy), boolWord(t.txIE),
 		boolWord(t.rxPend), boolWord(t.txPend),
-		Word(len(t.rxQueue)), Word(len(t.out)),
-	}
-	ws = append(ws, t.rxQueue...)
-	ws = append(ws, t.out...)
-	return ws
+		Word(len(t.rxQueue)), Word(len(t.out)))
+	dst = append(dst, t.rxQueue...)
+	return append(dst, t.out...)
 }
 
 // RestoreState implements Device.
@@ -220,6 +218,8 @@ func (t *TTY) RestoreState(ws []Word) {
 	t.rxPend = ws[6] != 0
 	t.txPend = ws[7] != 0
 	nq, no := int(ws[8]), int(ws[9])
-	t.rxQueue = append([]Word(nil), ws[10:10+nq]...)
-	t.out = append([]Word(nil), ws[10+nq:10+nq+no]...)
+	// Both buffers are private (PeekOutput copies, DrainOutput hands its
+	// buffer over), so a rollback refills them in place.
+	t.rxQueue = append(t.rxQueue[:0], ws[10:10+nq]...)
+	t.out = append(t.out[:0], ws[10+nq:10+nq+no]...)
 }

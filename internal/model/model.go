@@ -117,12 +117,21 @@ type Replicable interface {
 // when their Abstract(c) strings are equal, up to 64-bit hash collisions.
 // The digest need not hash the string itself, but it must use fixed
 // constants and no per-process seed, because witnesses persist digests
-// and replay them in later runs. The checkers compare digests on their hot
-// paths and re-derive full strings only when a violation needs a
-// human-readable counterexample.
+// and replay them in later runs. A change to any Digester's definition
+// bumps DigestVersion, so those witnesses ask to be re-captured instead
+// of failing on digests that can no longer match. The checkers compare
+// digests on their hot paths and re-derive full strings only when a
+// violation needs a human-readable counterexample.
 type Digester interface {
 	AbstractDigest(c Colour) uint64
 }
+
+// DigestVersion numbers the definition of the Φ^c digests this build
+// computes. Witnesses record it at capture, and replay refuses a witness
+// recorded under another version. Version 1 is the kernel adapter's
+// four-lane word hash; records captured before versioning carry no
+// version and read as 0.
+const DigestVersion = 1
 
 // FNV-1a 64-bit parameters (the digest of Abstract strings for systems
 // without a Digester, and of extracts, OpIDs and colours in violations).

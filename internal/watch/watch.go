@@ -193,6 +193,11 @@ type Watcher struct {
 	mu        sync.Mutex
 	cycles    int
 	lastCycle time.Time
+	inCycle   bool
+	// rows is the /status view, one row per configured deployment in
+	// registry order: read from the ledgers once (loadRows), then kept
+	// current by observe as records are appended. Nil until loaded.
+	rows []DeploymentStatus
 }
 
 // New creates a Watcher; cfg defaults are filled here.
@@ -237,6 +242,7 @@ func (w *Watcher) RunCycle() CycleResult {
 	w.mu.Lock()
 	w.cycles++
 	cycle := w.cycles
+	w.inCycle = true
 	w.mu.Unlock()
 
 	res := CycleResult{Cycle: cycle, Time: w.now().Unix(), Event: "cycle"}
@@ -260,6 +266,7 @@ func (w *Watcher) RunCycle() CycleResult {
 	w.cfg.Metrics.Counter("sep_watch_cycles_total").Inc()
 	w.mu.Lock()
 	w.lastCycle = w.now()
+	w.inCycle = false
 	w.mu.Unlock()
 	w.logJSON(res)
 	return res
@@ -301,6 +308,12 @@ func (w *Watcher) CheckDeployment(d Deployment) (*Record, error) {
 		prevTrace, _ = led.LoadTrace(head)
 	}
 	rec.Drift = ClassifyDrift(head, rec, prevTrace, trace)
+	// Read the status rows before the first append, so no status read
+	// ever meets a ledger line that is still being written. The error is
+	// dropped because Status retries the read and reports it.
+	w.mu.Lock()
+	_ = w.loadRows()
+	w.mu.Unlock()
 	if err := led.Append(rec, blob); err != nil {
 		return nil, fmt.Errorf("watch: %s: appending record: %w", d.Name, err)
 	}
@@ -391,9 +404,18 @@ func fillResult(rec *Record, res *separability.Result) {
 	}
 }
 
-// observe publishes one appended record to the metrics registry and the
-// event log.
+// observe publishes one appended record to the status rows, the metrics
+// registry and the event log, in that order: a scrape prompted by the log
+// line already sees the record.
 func (w *Watcher) observe(d Deployment, rec *Record) {
+	w.mu.Lock()
+	for i := range w.rows {
+		if w.rows[i].Name == d.Name {
+			w.rows[i].apply(rec)
+		}
+	}
+	w.mu.Unlock()
+
 	m := w.cfg.Metrics
 	m.Counter("sep_watch_deployments_total").Inc()
 	m.Counter("sep_watch_records_total").Inc()
@@ -431,20 +453,35 @@ func (w *Watcher) logJSON(v any) {
 	w.cfg.Log.Write(append(b, '\n'))
 }
 
-// DeploymentStatus is one deployment's row in the /status report,
-// reconstructed from its ledger.
+// Deployment states, as /status reports them.
+const (
+	// StatePending: not verified yet; no verdict either way.
+	StatePending = "pending"
+	// StateHealthy: the newest verdict matches the expectation and the
+	// newest record carries no drift.
+	StateHealthy = "healthy"
+	// StateFailing: the newest verdict contradicts the expectation.
+	StateFailing = "failing"
+	// StateDrifted: the verdict matches, but the newest record drifted
+	// from its predecessor.
+	StateDrifted = "drifted"
+)
+
+// DeploymentStatus is one deployment's row in the /status report.
 type DeploymentStatus struct {
 	Name   string `json:"name"`
 	Secure bool   `json:"secure"`
 	Target string `json:"target,omitempty"`
+	// State is one of StatePending, StateHealthy, StateFailing and
+	// StateDrifted.
+	State string `json:"state"`
 	// Builds is the ledger length; zero means never verified.
 	Builds   int    `json:"builds"`
 	LastID   string `json:"lastId,omitempty"`
 	LastTime int64  `json:"lastTime,omitempty"`
 	Build    string `json:"build,omitempty"`
 	Passed   bool   `json:"passed"`
-	// Healthy: verified at least once, verdict matches expectation, and
-	// the newest record carries no drift.
+	// Healthy is State == StateHealthy.
 	Healthy     bool    `json:"healthy"`
 	TraceDigest string  `json:"traceDigest,omitempty"`
 	Drift       []Drift `json:"drift,omitempty"`
@@ -452,48 +489,85 @@ type DeploymentStatus struct {
 	AgeSeconds  float64 `json:"ageSeconds,omitempty"`
 }
 
-// Status is the /status report.
-type Status struct {
-	Time        int64              `json:"time"`
-	Cycles      int                `json:"cycles"`
-	Build       BuildInfo          `json:"build"`
-	Deployments []DeploymentStatus `json:"deployments"`
+// apply folds the deployment's next ledger record into its row. A record
+// the row already holds (Seq not beyond Builds) is ignored.
+func (ds *DeploymentStatus) apply(r *Record) {
+	if r.Seq <= ds.Builds {
+		return
+	}
+	ds.Builds = r.Seq
+	ds.DriftTotal += len(r.Drift)
+	ds.LastID, ds.LastTime = r.ID, r.Time
+	ds.Build = r.Build.String()
+	ds.Passed = r.Passed
+	ds.TraceDigest = r.TraceDigest
+	ds.Drift = r.Drift
+	switch {
+	case r.Passed != ds.Secure:
+		ds.State = StateFailing
+	case len(r.Drift) > 0:
+		ds.State = StateDrifted
+	default:
+		ds.State = StateHealthy
+	}
+	ds.Healthy = ds.State == StateHealthy
 }
 
-// Status reconstructs the fleet view from the ledgers on disk and
-// refreshes the per-deployment age gauges.
-func (w *Watcher) Status() (Status, error) {
-	w.mu.Lock()
-	cycles := w.cycles
-	w.mu.Unlock()
-	st := Status{Time: w.now().Unix(), Cycles: cycles, Build: w.cfg.Build}
-	for _, d := range w.cfg.Deployments {
-		ds := DeploymentStatus{Name: d.Name, Secure: d.Secure, Target: d.Target}
+// Status is the /status report.
+type Status struct {
+	Time   int64 `json:"time"`
+	Cycles int   `json:"cycles"`
+	// CycleInProgress: a RunCycle is verifying deployments right now.
+	CycleInProgress bool               `json:"cycleInProgress"`
+	Build           BuildInfo          `json:"build"`
+	Deployments     []DeploymentStatus `json:"deployments"`
+}
+
+// loadRows fills w.rows from the ledgers on disk if they are not loaded
+// yet; w.mu is held.
+func (w *Watcher) loadRows() error {
+	if w.rows != nil {
+		return nil
+	}
+	rows := make([]DeploymentStatus, len(w.cfg.Deployments))
+	for i, d := range w.cfg.Deployments {
+		rows[i] = DeploymentStatus{Name: d.Name, Secure: d.Secure, Target: d.Target, State: StatePending}
 		led, err := OpenLedger(w.cfg.Dir, d.Name)
 		if err != nil {
-			return st, err
+			return err
 		}
 		recs, err := led.Records()
 		if err != nil {
-			return st, fmt.Errorf("watch: %s: %w", d.Name, err)
+			return fmt.Errorf("watch: %s: %w", d.Name, err)
 		}
-		ds.Builds = len(recs)
 		for _, r := range recs {
-			ds.DriftTotal += len(r.Drift)
+			rows[i].apply(r)
 		}
-		if len(recs) > 0 {
-			head := recs[len(recs)-1]
-			ds.LastID, ds.LastTime = head.ID, head.Time
-			ds.Build = head.Build.String()
-			ds.Passed = head.Passed
-			ds.TraceDigest = head.TraceDigest
-			ds.Drift = head.Drift
-			ds.Healthy = head.Passed == d.Secure && len(head.Drift) == 0
-			ds.AgeSeconds = w.now().Sub(time.Unix(head.Time, 0)).Seconds()
-			w.cfg.Metrics.Gauge(fmt.Sprintf("sep_watch_ledger_age_seconds{deployment=%q}", d.Name)).
-				Set(ds.AgeSeconds)
+	}
+	w.rows = rows
+	return nil
+}
+
+// Status reports the fleet view from the in-memory rows, reading the
+// ledgers only on first use, and refreshes the per-deployment age gauges.
+func (w *Watcher) Status() (Status, error) {
+	now := w.now()
+	w.mu.Lock()
+	st := Status{Time: now.Unix(), Cycles: w.cycles, CycleInProgress: w.inCycle, Build: w.cfg.Build}
+	err := w.loadRows()
+	st.Deployments = append([]DeploymentStatus(nil), w.rows...)
+	w.mu.Unlock()
+	if err != nil {
+		return st, err
+	}
+	for i := range st.Deployments {
+		ds := &st.Deployments[i]
+		if ds.Builds == 0 {
+			continue
 		}
-		st.Deployments = append(st.Deployments, ds)
+		ds.AgeSeconds = now.Sub(time.Unix(ds.LastTime, 0)).Seconds()
+		w.cfg.Metrics.Gauge(fmt.Sprintf("sep_watch_ledger_age_seconds{deployment=%q}", ds.Name)).
+			Set(ds.AgeSeconds)
 	}
 	return st, nil
 }

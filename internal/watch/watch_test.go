@@ -3,6 +3,7 @@ package watch
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -322,6 +323,150 @@ func TestStatusHandlerServesJSON(t *testing.T) {
 	if len(st.Deployments) != 1 || st.Deployments[0].Name != "honest" || !st.Deployments[0].Healthy {
 		t.Fatalf("/status content: %+v", st)
 	}
+}
+
+// TestStatusStates walks one deployment through every /status state and
+// checks that a fresh watcher reading the same ledgers reports the rows
+// the running watcher built incrementally.
+func TestStatusStates(t *testing.T) {
+	dir := t.TempDir()
+	honest, leak := mustFind(t, "honest"), mustFind(t, "leak-RegisterLeak")
+	cfg := testConfig(dir, honest, leak)
+	w := New(cfg)
+	fixClock(w)
+	states := func(w *Watcher) []DeploymentStatus {
+		t.Helper()
+		st, err := w.Status()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.CycleInProgress {
+			t.Error("CycleInProgress set with no cycle running")
+		}
+		return st.Deployments
+	}
+	want := func(step string, rows []DeploymentStatus, honestState, leakState string) {
+		t.Helper()
+		if rows[0].State != honestState || rows[1].State != leakState {
+			t.Fatalf("%s: states %s/%s, want %s/%s", step, rows[0].State, rows[1].State, honestState, leakState)
+		}
+		for _, ds := range rows {
+			if ds.Healthy != (ds.State == StateHealthy) {
+				t.Fatalf("%s: %s healthy=%v in state %s", step, ds.Name, ds.Healthy, ds.State)
+			}
+		}
+	}
+
+	// Never verified: pending, not unhealthy-by-default.
+	rows := states(w)
+	want("before any check", rows, StatePending, StatePending)
+	if rows[0].Builds != 0 || rows[0].Passed {
+		t.Fatalf("unverified row carries a verdict: %+v", rows[0])
+	}
+
+	check := func(d Deployment) {
+		t.Helper()
+		if _, err := w.CheckDeployment(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check(honest)
+	check(leak)
+	want("first checks", states(w), StateHealthy, StateHealthy)
+
+	// The leak deployment silently swaps its leak: still caught, so the
+	// verdict matches, but its trace drifts.
+	swapped := leak
+	swapped.Spec = verifysys.SpecFor("SharedScratch", true, false)
+	check(swapped)
+	want("swapped leak", states(w), StateHealthy, StateDrifted)
+
+	// The honest deployment silently gains a leak: the verdict flips.
+	leaky := honest
+	leaky.Spec = verifysys.SpecFor("SharedScratch", true, false)
+	check(leaky)
+	rows = states(w)
+	want("planted leak", rows, StateFailing, StateDrifted)
+	if rows[0].Builds != 2 || rows[1].Builds != 2 || rows[0].DriftTotal == 0 {
+		t.Fatalf("rows after four checks: %+v", rows)
+	}
+
+	loaded := states(New(cfg))
+	for i := range rows {
+		rows[i].AgeSeconds, loaded[i].AgeSeconds = 0, 0
+	}
+	if got, want := mustJSON(t, loaded), mustJSON(t, rows); got != want {
+		t.Fatalf("rows read from the ledgers differ from the incremental ones:\n got %s\nwant %s", got, want)
+	}
+}
+
+// TestStatusDuringCycle scrapes /status in a loop while a cycle appends
+// to the ledgers. Every scrape must succeed: /status is served from
+// memory, so it never reads a ledger line that is still being written.
+// Run it under -race.
+func TestStatusDuringCycle(t *testing.T) {
+	w := New(testConfig(t.TempDir(), mustFind(t, "honest"), mustFind(t, "toy-secure")))
+	h := w.StatusHandler()
+	stop := make(chan struct{})
+	result := make(chan error, 1)
+	go func() {
+		scrapes, busy := 0, false
+		for {
+			select {
+			case <-stop:
+				if !busy {
+					result <- fmt.Errorf("none of %d scrapes saw the cycle in progress", scrapes)
+					return
+				}
+				result <- nil
+				return
+			default:
+			}
+			rr := httptest.NewRecorder()
+			h.ServeHTTP(rr, httptest.NewRequest("GET", "/status", nil))
+			if rr.Code != 200 {
+				result <- fmt.Errorf("scrape %d: status %d: %s", scrapes, rr.Code, rr.Body.String())
+				return
+			}
+			var st Status
+			if err := json.Unmarshal(rr.Body.Bytes(), &st); err != nil {
+				result <- fmt.Errorf("scrape %d: %v", scrapes, err)
+				return
+			}
+			busy = busy || st.CycleInProgress
+			scrapes++
+		}
+	}()
+	for c := 0; c < 2; c++ {
+		if res := w.RunCycle(); res.Errors != 0 {
+			t.Fatalf("cycle %d: %+v", c+1, res)
+		}
+	}
+	close(stop)
+	if err := <-result; err != nil {
+		t.Fatal(err)
+	}
+	st, err := w.Status()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.CycleInProgress || st.Cycles != 2 {
+		t.Fatalf("after two cycles: cycles=%d inProgress=%v", st.Cycles, st.CycleInProgress)
+	}
+	for _, ds := range st.Deployments {
+		if ds.Builds != 2 || ds.State != StateHealthy {
+			t.Errorf("%s: builds=%d state=%s after two cycles", ds.Name, ds.Builds, ds.State)
+		}
+	}
+}
+
+func mustJSON(t *testing.T, v any) string {
+	t.Helper()
+	b, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
 }
 
 func TestRegistries(t *testing.T) {

@@ -82,6 +82,9 @@ type Witness struct {
 	Detail        string `json:"detail"`
 	Want          string `json:"want"`
 	Got           string `json:"got"`
+	// DigestVersion is the model.DigestVersion Want and Got were
+	// computed under; records captured before versioning omit it (0).
+	DigestVersion int `json:"digestVersion,omitempty"`
 
 	// Shrink provenance: the original walk length (entries) and how many
 	// replays the shrinker spent. len(Steps) is the shrunk length.
@@ -229,6 +232,7 @@ func captureOne(sys model.Perturbable, port model.Portable, copt separability.Op
 		Condition:     int(v.Condition),
 		ConditionName: v.Condition.String(),
 		Colour:        string(v.Colour),
+		DigestVersion: model.DigestVersion,
 		OrigSteps:     len(ins),
 		ref:           ref,
 	}
@@ -299,8 +303,14 @@ func captureOne(sys model.Perturbable, port model.Portable, copt separability.Op
 // condition sweep at the final state — and returns the violation matching
 // the witness's condition and colour, or an error naming what diverged. sys
 // must implement model.Portable when w came from disk (its state and inputs
-// still need decoding); a freshly captured witness replays directly.
+// still need decoding); a freshly captured witness replays directly. A
+// witness recorded under another model.DigestVersion fails before any
+// replay, asking to be re-captured: its digests cannot match this build's.
 func Replay(sys model.Perturbable, w *Witness) (*separability.Violation, error) {
+	if w.DigestVersion != model.DigestVersion {
+		return nil, fmt.Errorf("witness %s: captured under Φ digest version %d, this build uses %d: re-capture",
+			w.ID, w.DigestVersion, model.DigestVersion)
+	}
 	if err := decodeForReplay(sys, w); err != nil {
 		return nil, err
 	}

@@ -2,6 +2,7 @@ package witness_test
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -9,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/kernel"
+	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/separability"
 	"repro/internal/verifysys"
@@ -209,6 +211,66 @@ func TestRetiredNoTranslateRecordReplays(t *testing.T) {
 		}
 		if _, err := witness.Replay(buildSpec(t, w.System), w); err != nil {
 			t.Errorf("witness %s with noTranslate:true does not replay: %v", w.ID, err)
+		}
+	}
+}
+
+// A record captured before the Φ digest was versioned has no
+// digestVersion field. It must still load and pass its ID check, so that
+// list and show work on it, but replay must refuse it up front and ask
+// for a re-capture rather than report a digest mismatch.
+func TestStaleDigestVersionAsksForRecapture(t *testing.T) {
+	spec := verifysys.SpecFor("SharedScratch", true, false)
+	sys := buildSpec(t, spec)
+	opt := leakOpt(false)
+	res := separability.CheckRandomized(sys, opt)
+	if res.Passed() {
+		t.Fatal("leak not caught")
+	}
+	dir := t.TempDir()
+	captured, err := witness.Capture(sys, opt, res, witness.Options{Dir: dir, System: spec})
+	if err != nil || len(captured) == 0 {
+		t.Fatalf("capture: %d witnesses, err=%v", len(captured), err)
+	}
+
+	// Rewrite the manifest in the shape an unversioned build wrote.
+	var manifest []byte
+	for _, w := range captured {
+		if w.DigestVersion != model.DigestVersion {
+			t.Fatalf("witness %s stamped with digest version %d, want %d", w.ID, w.DigestVersion, model.DigestVersion)
+		}
+		old := *w
+		old.DigestVersion, old.ID = 0, ""
+		id, err := witness.ContentID(&old)
+		if err != nil {
+			t.Fatal(err)
+		}
+		old.ID = id
+		line, err := json.Marshal(&old)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if strings.Contains(string(line), "digestVersion") {
+			t.Fatalf("rewritten record still names a digest version: %s", line)
+		}
+		manifest = append(append(manifest, line...), '\n')
+	}
+	if err := os.WriteFile(filepath.Join(dir, "manifest.jsonl"), manifest, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	loaded, err := witness.Load(dir)
+	if err != nil || len(loaded) != len(captured) {
+		t.Fatalf("load: %d of %d witnesses, err=%v", len(loaded), len(captured), err)
+	}
+	want := fmt.Sprintf("captured under Φ digest version 0, this build uses %d: re-capture", model.DigestVersion)
+	for _, w := range loaded {
+		if err := w.LoadState(dir); err != nil {
+			t.Fatal(err)
+		}
+		_, err := witness.Replay(buildSpec(t, w.System), w)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("witness %s: replay error %v, want one containing %q", w.ID, err, want)
 		}
 	}
 }
