@@ -227,14 +227,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 	status := 0
 	if *all {
 		ok := true
-		if r, err := runOne(stdout, "", true, opt, true, *witnessDir); err != nil {
+		if r, err := runOne(stdout, stderr, "", true, opt, true, *witnessDir); err != nil {
 			fmt.Fprintln(stderr, "sepverify:", err)
 			return 2
 		} else {
 			ok = r
 		}
 		for _, name := range leakNames() {
-			r, err := runOne(stdout, name, true, opt, false, *witnessDir)
+			r, err := runOne(stdout, stderr, name, true, opt, false, *witnessDir)
 			if err != nil {
 				fmt.Fprintln(stderr, "sepverify:", err)
 				return 2
@@ -256,7 +256,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if *uncut {
 			expectPass = false
 		}
-		ok, err := runOne(stdout, *leak, !*uncut, opt, expectPass, *witnessDir)
+		ok, err := runOne(stdout, stderr, *leak, !*uncut, opt, expectPass, *witnessDir)
 		if err != nil {
 			fmt.Fprintln(stderr, "sepverify:", err)
 			return 2
@@ -284,7 +284,7 @@ func leakNames() []string {
 // runOne verifies one variant: leakName names a planted leak ("" = the
 // honest kernel). With witnessDir set, every distinct violation is
 // captured, shrunk and persisted under a per-variant subdirectory.
-func runOne(stdout io.Writer, leakName string, cut bool, opt separability.Options, expectPass bool, witnessDir string) (bool, error) {
+func runOne(stdout, stderr io.Writer, leakName string, cut bool, opt separability.Options, expectPass bool, witnessDir string) (bool, error) {
 	name := leakName
 	if name == "" {
 		name = "honest"
@@ -323,6 +323,11 @@ func runOne(stdout io.Writer, leakName string, cut bool, opt separability.Option
 			sub += "-uncut"
 		}
 		dir := filepath.Join(witnessDir, sub)
+		// Capture truncates a torn manifest tail left by a killed run;
+		// note it, so crash damage is not mistaken for tampering.
+		if _, tail, err := witness.LoadTail(dir); err == nil && tail.Note() != "" {
+			fmt.Fprintln(stderr, "sepverify:", tail.Note())
+		}
 		ws, err := witness.Capture(sys, opt, res, witness.Options{
 			Dir: dir, Metrics: opt.Metrics, System: spec})
 		if err != nil {

@@ -121,3 +121,28 @@ func TestUsageErrors(t *testing.T) {
 		t.Errorf("-list: exit %d, output %q", code, out)
 	}
 }
+
+// -witness-dir into a store whose manifest a killed run left torn: the
+// capture notes the skipped line on stderr, truncates it and succeeds.
+func TestWitnessDirRecoversTornManifest(t *testing.T) {
+	dir := t.TempDir()
+	args := []string{"-leak", "RegisterLeak", "-seed", "99", "-witness-dir", dir}
+	if code, _, errs := runCLI(t, args...); code != 0 {
+		t.Fatalf("first capture: exit %d\n%s", code, errs)
+	}
+	mp := filepath.Join(dir, "RegisterLeak", "manifest.jsonl")
+	b, err := os.ReadFile(mp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(mp, b[:len(b)-40], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	code, out, errs := runCLI(t, args...)
+	if code != 0 || !strings.Contains(out, "witnesses:") || !strings.Contains(errs, "torn final line") {
+		t.Fatalf("re-capture into a torn store: exit %d\n%s\nstderr:\n%s", code, out, errs)
+	}
+	if after, err := os.ReadFile(mp); err != nil || !bytes.Equal(after, b) {
+		t.Errorf("re-capture did not restore the manifest byte for byte (%v)", err)
+	}
+}

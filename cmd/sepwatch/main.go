@@ -45,6 +45,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/cas"
 	"repro/internal/obs"
 	"repro/internal/watch"
 )
@@ -251,6 +252,13 @@ func cmdCheck(args []string, out, errw io.Writer) int {
 			}
 			d.Spec = spec
 		}
+		// The check repairs a torn ledger tail as it appends; say so here,
+		// where an operator reads it. A read error is the check's to report.
+		if led, err := watch.OpenLedger(cfg.Dir, d.Name); err == nil {
+			if _, tail, err := led.RecordsTail(); err == nil {
+				noteTorn(errw, tail)
+			}
+		}
 		rec, err := w.CheckDeployment(d)
 		if err != nil {
 			fmt.Fprintln(errw, "sepwatch:", err)
@@ -298,11 +306,12 @@ func cmdHistory(args []string, out, errw io.Writer) int {
 			fmt.Fprintln(errw, "sepwatch:", err)
 			return 2
 		}
-		recs, err := led.Records()
+		recs, tail, err := led.RecordsTail()
 		if err != nil {
 			fmt.Fprintln(errw, "sepwatch:", err)
 			return 2
 		}
+		noteTorn(errw, tail)
 		fmt.Fprintf(out, "%s: %d builds\n", name, len(recs))
 		for _, r := range recs {
 			fmt.Fprintf(out, "  %s\n", recordLine(r))
@@ -312,6 +321,14 @@ func cmdHistory(args []string, out, errw io.Writer) int {
 		}
 	}
 	return 0
+}
+
+// noteTorn prints the one-line recovery note for a ledger whose final
+// line a crash cut short.
+func noteTorn(errw io.Writer, tail cas.Tail) {
+	if n := tail.Note(); n != "" {
+		fmt.Fprintln(errw, "sepwatch:", n)
+	}
 }
 
 func recordLine(r *watch.Record) string {

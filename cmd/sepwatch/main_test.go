@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"os"
@@ -255,3 +256,54 @@ func TestCLIErrors(t *testing.T) {
 type writerFunc func(p []byte) (int, error)
 
 func (f writerFunc) Write(p []byte) (int, error) { return f(p) }
+
+// A crash mid-append leaves a torn final ledger line. history and check
+// must treat it as crash damage: report it on stderr, keep going, and
+// let the next check append seq 2 chained to record 1, with a
+// "recovered" line in the event log.
+func TestTornLedgerRecovers(t *testing.T) {
+	dir := t.TempDir()
+	logPath := filepath.Join(t.TempDir(), "events.jsonl")
+	check := append([]string{"check"}, append(fastFlags(dir), "-log", logPath, "honest")...)
+	runCLI(t, 0, check...)
+	runCLI(t, 0, check...)
+	ledger := filepath.Join(dir, "honest", "ledger.jsonl")
+	b, err := os.ReadFile(ledger)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(ledger, b[:len(b)-40], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	torn := len(b) - 40 - (bytes.IndexByte(b, '\n') + 1)
+
+	var out, errw bytes.Buffer
+	if code := run([]string{"history", "-dir", dir}, &out, &errw); code != 0 {
+		t.Fatalf("history on a torn ledger: exit %d\n%s", code, errw.String())
+	}
+	if !strings.Contains(out.String(), "honest: 1 builds") ||
+		!strings.Contains(errw.String(), fmt.Sprintf("torn final line (%d bytes", torn)) {
+		t.Fatalf("history:\n%s\nstderr:\n%s", out.String(), errw.String())
+	}
+
+	out.Reset()
+	errw.Reset()
+	if code := run(check, &out, &errw); code != 0 {
+		t.Fatalf("check on a torn ledger: exit %d\n%s", code, errw.String())
+	}
+	if !strings.Contains(out.String(), "seq=2") || !strings.Contains(errw.String(), "torn final line") {
+		t.Fatalf("check:\n%s\nstderr:\n%s", out.String(), errw.String())
+	}
+	// history validates the chain: the new seq 2 pins record 1's ID.
+	if hist := runCLI(t, 0, "history", "-dir", dir); !strings.Contains(hist, "honest: 2 builds") {
+		t.Fatalf("history after repair:\n%s", hist)
+	}
+
+	events, err := os.ReadFile(logPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !regexp.MustCompile(fmt.Sprintf(`"event":"recovered".*"droppedBytes":%d}`, torn)).Match(events) {
+		t.Fatalf("event log has no recovered line:\n%s", events)
+	}
+}

@@ -50,7 +50,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	}
 	cmd, rest := fs.Arg(0), fs.Args()[1:]
 
-	ws, err := witness.Load(*dir)
+	ws, err := load(*dir, stderr)
 	if err != nil {
 		fmt.Fprintln(stderr, "sepwitness:", err)
 		return 2
@@ -68,7 +68,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, "sepwitness: diff needs exactly one other directory")
 			return 2
 		}
-		other, err := witness.Load(rest[0])
+		other, err := load(rest[0], stderr)
 		if err != nil {
 			fmt.Fprintln(stderr, "sepwitness:", err)
 			return 2
@@ -79,6 +79,16 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		fs.Usage()
 		return 2
 	}
+}
+
+// load reads a witness store, noting on stderr a torn final manifest line
+// (a capture killed mid-append) that the read skipped.
+func load(dir string, stderr io.Writer) ([]*witness.Witness, error) {
+	ws, tail, err := witness.LoadTail(dir)
+	if n := tail.Note(); err == nil && n != "" {
+		fmt.Fprintln(stderr, "sepwitness:", n)
+	}
+	return ws, err
 }
 
 // describe renders the one-line summary of a witness.

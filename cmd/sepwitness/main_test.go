@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/cas"
 	"repro/internal/model"
 	"repro/internal/separability"
 	"repro/internal/verifysys"
@@ -93,7 +94,7 @@ func TestCLIStaleDigestVersion(t *testing.T) {
 	var manifest []byte
 	for _, w := range ws {
 		w.DigestVersion, w.ID = 0, ""
-		if w.ID, err = witness.ContentID(w); err != nil {
+		if w.ID, err = cas.ContentID(w); err != nil {
 			t.Fatal(err)
 		}
 		line, err := json.Marshal(w)
@@ -133,5 +134,23 @@ func TestCLIErrors(t *testing.T) {
 	// An empty store replays nothing — that is a failure, not a silent pass.
 	if code, _, _ := run(t, "-dir", t.TempDir(), "replay"); code != 1 {
 		t.Errorf("empty replay: code=%d, want 1", code)
+	}
+}
+
+// A manifest whose final line a crash cut short still lists and replays;
+// the skipped line is noted on stderr, not reported as tampering.
+func TestCLITornManifest(t *testing.T) {
+	dir := captureDir(t)
+	mp := filepath.Join(dir, "manifest.jsonl")
+	b, err := os.ReadFile(mp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(mp, b[:len(b)-40], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	code, out, errs := run(t, "-dir", dir, "replay")
+	if code != 0 || !strings.Contains(out, "ok   ") || !strings.Contains(errs, "torn final line") {
+		t.Fatalf("replay of a torn store: code=%d\n%s\nstderr:\n%s", code, out, errs)
 	}
 }

@@ -1,27 +1,23 @@
 package separability
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"os"
-	"path/filepath"
 	"sort"
 	"strconv"
 
+	"repro/internal/cas"
 	"repro/internal/model"
 )
 
-// Shard artifacts follow the conventions of internal/witness: canonical
-// JSON (encoding/json with struct field order and sorted map keys) carrying
-// a content-address ID — the first 16 hex digits of the SHA-256 of the
-// record with its ID blanked. Readers are total: arbitrary bytes yield an
-// error, never a panic, and any edit to a sealed file (truncation,
-// tampering, a result file passed off as a checkpoint) breaks the ID and is
-// rejected. Writes go through a temp file plus rename, so a worker killed
-// mid-write leaves either the previous complete artifact or the new one,
-// never a torn file.
+// Shard artifacts are internal/cas records: canonical JSON carrying a
+// content-address ID (cas.ContentID of the record with its ID blanked).
+// Readers are total: arbitrary bytes yield an error, never a panic, and
+// any edit to a sealed file (truncation, tampering, a result file passed
+// off as a checkpoint) breaks the ID and is rejected. Writes go through
+// cas.WriteFile, so a worker killed mid-write leaves either the previous
+// complete artifact or the new one, never a torn file.
 
 const (
 	// ShardSchemaVersion versions the shard-result/checkpoint schema.
@@ -163,27 +159,16 @@ func newShardCheckpoint(params ShardParams, startChunk, endChunk, frontier int,
 	}
 }
 
-// contentID seals the canonical JSON of v (which must already have its ID
-// field blanked) into a 16-hex-digit content address.
-func contentID(v any) (string, error) {
-	b, err := json.Marshal(v)
-	if err != nil {
-		return "", err
-	}
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:])[:16], nil
-}
-
 func (sr *ShardResult) computeID() (string, error) {
 	cp := *sr
 	cp.ID = ""
-	return contentID(&cp)
+	return cas.ContentID(&cp)
 }
 
 func (ck *ShardCheckpoint) computeID() (string, error) {
 	cp := *ck
 	cp.ID = ""
-	return contentID(&cp)
+	return cas.ContentID(&cp)
 }
 
 func (sr *ShardResult) seal() error {
@@ -196,26 +181,9 @@ func (sr *ShardResult) seal() error {
 // content-address ID, parameter sanity, the chunk range against the
 // partition function, and that every record decodes.
 func (sr *ShardResult) Validate() error {
-	if sr.Version != ShardSchemaVersion {
-		return fmt.Errorf("unsupported shard-result version %d", sr.Version)
-	}
-	if sr.Kind != KindShardResult {
-		return fmt.Errorf("kind %q, want %q", sr.Kind, KindShardResult)
-	}
-	id, err := sr.computeID()
-	if err != nil {
+	if err := validateSealed(sr.Version, sr.Kind, KindShardResult, sr.ID, sr.computeID,
+		sr.ShardParams, sr.StartChunk, sr.EndChunk); err != nil {
 		return err
-	}
-	if sr.ID != id {
-		return fmt.Errorf("ID %q does not match content %q: file truncated or tampered", sr.ID, id)
-	}
-	if err := sr.ShardParams.validate(); err != nil {
-		return err
-	}
-	n := sr.NChunks()
-	if sr.StartChunk != sr.Shard*n/sr.Shards || sr.EndChunk != (sr.Shard+1)*n/sr.Shards {
-		return fmt.Errorf("chunk range [%d,%d) inconsistent with shard %d/%d over %d chunks",
-			sr.StartChunk, sr.EndChunk, sr.Shard, sr.Shards, n)
 	}
 	return validateRecords(sr.PerColour, len(sr.Colours))
 }
@@ -223,26 +191,9 @@ func (sr *ShardResult) Validate() error {
 // Validate is ShardResult.Validate for checkpoints, additionally pinning
 // the frontier inside the shard's chunk range.
 func (ck *ShardCheckpoint) Validate() error {
-	if ck.Version != ShardSchemaVersion {
-		return fmt.Errorf("unsupported shard-checkpoint version %d", ck.Version)
-	}
-	if ck.Kind != KindShardCheckpoint {
-		return fmt.Errorf("kind %q, want %q", ck.Kind, KindShardCheckpoint)
-	}
-	id, err := ck.computeID()
-	if err != nil {
+	if err := validateSealed(ck.Version, ck.Kind, KindShardCheckpoint, ck.ID, ck.computeID,
+		ck.ShardParams, ck.StartChunk, ck.EndChunk); err != nil {
 		return err
-	}
-	if ck.ID != id {
-		return fmt.Errorf("ID %q does not match content %q: file truncated or tampered", ck.ID, id)
-	}
-	if err := ck.ShardParams.validate(); err != nil {
-		return err
-	}
-	n := ck.NChunks()
-	if ck.StartChunk != ck.Shard*n/ck.Shards || ck.EndChunk != (ck.Shard+1)*n/ck.Shards {
-		return fmt.Errorf("chunk range [%d,%d) inconsistent with shard %d/%d over %d chunks",
-			ck.StartChunk, ck.EndChunk, ck.Shard, ck.Shards, n)
 	}
 	if ck.Frontier < ck.StartChunk || ck.Frontier > ck.EndChunk {
 		return fmt.Errorf("frontier %d outside chunk range [%d,%d]",
@@ -253,6 +204,35 @@ func (ck *ShardCheckpoint) Validate() error {
 			ck.Frontier, ck.EndChunk)
 	}
 	return validateRecords(ck.PerColour, len(ck.Colours))
+}
+
+// validateSealed checks what both artifact kinds carry: the schema version,
+// the kind, an ID matching the content, sane parameters, and the chunk
+// range the partition function assigns the shard.
+func validateSealed(version int, kind, wantKind, id string, computeID func() (string, error),
+	p ShardParams, start, end int) error {
+	if version != ShardSchemaVersion {
+		return fmt.Errorf("unsupported %s version %d", wantKind, version)
+	}
+	if kind != wantKind {
+		return fmt.Errorf("kind %q, want %q", kind, wantKind)
+	}
+	want, err := computeID()
+	if err != nil {
+		return err
+	}
+	if id != want {
+		return fmt.Errorf("ID %q does not match content %q: file truncated or tampered", id, want)
+	}
+	if err := p.validate(); err != nil {
+		return err
+	}
+	n := p.NChunks()
+	if start != p.Shard*n/p.Shards || end != (p.Shard+1)*n/p.Shards {
+		return fmt.Errorf("chunk range [%d,%d) inconsistent with shard %d/%d over %d chunks",
+			start, end, p.Shard, p.Shards, n)
+	}
+	return nil
 }
 
 func validateRecords(rrs []*ResultRecord, colours int) error {
@@ -295,7 +275,7 @@ func (sr *ShardResult) WriteFile(path string) error {
 	if err != nil {
 		return err
 	}
-	return writeFileAtomic(path, append(b, '\n'))
+	return cas.WriteFile(path, append(b, '\n'))
 }
 
 func writeShardCheckpoint(path string, ck *ShardCheckpoint) error {
@@ -308,31 +288,7 @@ func writeShardCheckpoint(path string, ck *ShardCheckpoint) error {
 	if err != nil {
 		return err
 	}
-	return writeFileAtomic(path, append(b, '\n'))
-}
-
-// writeFileAtomic writes through a same-directory temp file and rename, so
-// readers and resumed runs never observe a torn artifact.
-func writeFileAtomic(path string, b []byte) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-")
-	if err != nil {
-		return err
-	}
-	if _, err := tmp.Write(b); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return nil
+	return cas.WriteFile(path, append(b, '\n'))
 }
 
 // DecodeShardResult decodes and validates one shard-result artifact. It is

@@ -1,22 +1,21 @@
 package watch
 
 import (
-	"bufio"
 	"bytes"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"path/filepath"
 	"regexp"
 
+	"repro/internal/cas"
 	"repro/internal/obs"
 	"repro/internal/separability"
 	"repro/internal/witness"
 )
 
-// The on-disk layout of a watch directory mirrors the witness store:
+// The on-disk layout of a watch directory is an internal/cas log plus its
+// blob directory, like the witness store:
 //
 //	<dir>/<deployment>/ledger.jsonl   — one canonical JSON Record per line
 //	<dir>/<deployment>/blobs/<sha256> — JSONL trace blobs, content-addressed
@@ -36,9 +35,6 @@ const (
 
 	ledgerName = "ledger.jsonl"
 	blobsDir   = "blobs"
-	// maxLedgerLine bounds one record; a line is metadata plus a few
-	// violation records, far below this.
-	maxLedgerLine = 16 << 20
 )
 
 // BuildInfo identifies the build that produced a record, so `sepwatch
@@ -180,7 +176,7 @@ type Record struct {
 func (r *Record) computeID() (string, error) {
 	cp := *r
 	cp.ID = ""
-	return witness.ContentID(&cp)
+	return cas.ContentID(&cp)
 }
 
 // Validate checks the structural invariants of one record in isolation
@@ -206,11 +202,8 @@ func (r *Record) Validate() error {
 		return fmt.Errorf("record %s: no deployment name", r.ID)
 	}
 	if r.TraceBlob != "" {
-		if len(r.TraceBlob) != 64 {
-			return fmt.Errorf("record %s: trace blob address %q is not a sha256", r.ID, r.TraceBlob)
-		}
-		if _, err := hex.DecodeString(r.TraceBlob); err != nil {
-			return fmt.Errorf("record %s: trace blob address: %w", r.ID, err)
+		if err := cas.CheckAddr(r.TraceBlob); err != nil {
+			return fmt.Errorf("record %s: trace blob %w", r.ID, err)
 		}
 	}
 	if len(r.TraceDigest) != 16 {
@@ -258,79 +251,61 @@ func (l *Ledger) Dir() string { return l.dir }
 // chain to its predecessor (Seq increments from 1, PrevID pins the prior
 // record's ID). A missing ledger file is an empty history, not an error.
 func (l *Ledger) Records() ([]*Record, error) {
-	f, err := os.Open(filepath.Join(l.dir, ledgerName))
-	if os.IsNotExist(err) {
-		return nil, nil
-	}
+	recs, _, err := l.RecordsTail()
+	return recs, err
+}
+
+// RecordsTail is Records, also reporting where the committed records end:
+// a torn final line left by a process killed mid-append is skipped and
+// reported there, and the next Append truncates it.
+func (l *Ledger) RecordsTail() ([]*Record, cas.Tail, error) {
+	var recs []*Record
+	tail, err := cas.ReadLogFile(filepath.Join(l.dir, ledgerName), chain(&recs, l.deployment))
 	if err != nil {
-		return nil, err
+		return nil, tail, fmt.Errorf("watch: %w", err)
 	}
-	defer f.Close()
-	recs, err := ReadLedger(f)
-	if err != nil {
-		return nil, fmt.Errorf("watch: %s: %w", filepath.Join(l.dir, ledgerName), err)
-	}
-	for _, r := range recs {
-		if r.Deployment != l.deployment {
-			return nil, fmt.Errorf("watch: %s: record %s names deployment %q",
-				filepath.Join(l.dir, ledgerName), r.ID, r.Deployment)
-		}
-	}
-	return recs, nil
+	return recs, tail, nil
 }
 
 // ReadLedger decodes a ledger.jsonl stream, enforcing per-record and chain
 // invariants. The decoder is total: arbitrary bytes yield records or an
 // error, never a panic.
 func ReadLedger(r io.Reader) ([]*Record, error) {
-	var out []*Record
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64*1024), maxLedgerLine)
-	ln := 0
-	for sc.Scan() {
-		ln++
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
-		rec := &Record{}
-		if err := json.Unmarshal(line, rec); err != nil {
-			return nil, fmt.Errorf("line %d: %w", ln, err)
-		}
-		if err := rec.Validate(); err != nil {
-			return nil, fmt.Errorf("line %d: %w", ln, err)
-		}
-		if len(out) == 0 {
-			if rec.Seq != 1 || rec.PrevID != "" {
-				return nil, fmt.Errorf("line %d: record %s does not start a chain (seq %d, prevId %q)",
-					ln, rec.ID, rec.Seq, rec.PrevID)
-			}
-		} else {
-			prev := out[len(out)-1]
-			if rec.Seq != prev.Seq+1 {
-				return nil, fmt.Errorf("line %d: seq %d after %d: ledger reordered or truncated",
-					ln, rec.Seq, prev.Seq)
-			}
-			if rec.PrevID != prev.ID {
-				return nil, fmt.Errorf("line %d: prevId %q does not chain to %s: ledger edited",
-					ln, rec.PrevID, prev.ID)
-			}
-		}
-		out = append(out, rec)
-	}
-	if err := sc.Err(); err != nil {
+	var recs []*Record
+	if _, err := cas.ReadLog(r, chain(&recs, "")); err != nil {
 		return nil, err
 	}
-	return out, nil
+	return recs, nil
+}
+
+// chain returns the ledger line decoder: each line must decode, validate,
+// name deployment (any, when it is "") and chain onto the last record in
+// *recs, to which it is appended.
+func chain(recs *[]*Record, deployment string) func(line []byte) error {
+	return func(line []byte) error {
+		rec := &Record{}
+		if err := json.Unmarshal(line, rec); err != nil {
+			return err
+		}
+		if err := rec.Validate(); err != nil {
+			return err
+		}
+		if deployment != "" && rec.Deployment != deployment {
+			return fmt.Errorf("record %s names deployment %q", rec.ID, rec.Deployment)
+		}
+		if seq, prevID := successor(last(*recs)); rec.Seq != seq || rec.PrevID != prevID {
+			return fmt.Errorf("record %s (seq %d, prevId %q) does not chain: want seq %d, prevId %q: ledger edited, reordered or truncated",
+				rec.ID, rec.Seq, rec.PrevID, seq, prevID)
+		}
+		*recs = append(*recs, rec)
+		return nil
+	}
 }
 
 // Head returns the most recent record (nil for an empty ledger).
 func (l *Ledger) Head() (*Record, error) {
 	recs, err := l.Records()
-	if err != nil || len(recs) == 0 {
-		return nil, err
-	}
-	return recs[len(recs)-1], nil
+	return last(recs), err
 }
 
 // Append chains rec onto the ledger and persists it together with its
@@ -338,20 +313,45 @@ func (l *Ledger) Head() (*Record, error) {
 // are computed here; callers fill everything else. The ledger is
 // single-writer: one sepwatch process owns a watch directory.
 func (l *Ledger) Append(rec *Record, trace []byte) error {
-	head, err := l.Head()
+	recs, tail, err := l.RecordsTail()
 	if err != nil {
 		return err
 	}
+	return l.append(rec, trace, last(recs), tail)
+}
+
+// last returns the newest record, nil for an empty history.
+func last(recs []*Record) *Record {
+	if len(recs) == 0 {
+		return nil
+	}
+	return recs[len(recs)-1]
+}
+
+// successor returns the chain fields of the record after head: Seq counts
+// from 1 and PrevID pins head's ID ("" for the first record).
+func successor(head *Record) (seq int, prevID string) {
+	if head == nil {
+		return 1, ""
+	}
+	return head.Seq + 1, head.ID
+}
+
+// append is Append given the head and tail of a validated read of this
+// ledger, so a caller that already read it does not read it twice.
+func (l *Ledger) append(rec *Record, trace []byte, head *Record, tail cas.Tail) error {
 	rec.Version = LedgerSchemaVersion
 	rec.Kind = KindBuildRecord
 	rec.Deployment = l.deployment
-	if head == nil {
-		rec.Seq, rec.PrevID = 1, ""
-	} else {
-		rec.Seq, rec.PrevID = head.Seq+1, head.ID
-	}
+	rec.Seq, rec.PrevID = successor(head)
 	if trace != nil {
-		rec.TraceBlob = witness.HashHex(trace)
+		// Content-addressed: an identical trace (the idempotent
+		// re-verification case) is stored once.
+		addr, err := cas.PutBlob(filepath.Join(l.dir, blobsDir), trace)
+		if err != nil {
+			return err
+		}
+		rec.TraceBlob = addr
 	}
 	id, err := rec.computeID()
 	if err != nil {
@@ -361,35 +361,11 @@ func (l *Ledger) Append(rec *Record, trace []byte) error {
 	if err := rec.Validate(); err != nil {
 		return fmt.Errorf("watch: refusing to append invalid record: %w", err)
 	}
-
-	if err := os.MkdirAll(filepath.Join(l.dir, blobsDir), 0o755); err != nil {
-		return err
-	}
-	if trace != nil {
-		bp := filepath.Join(l.dir, blobsDir, rec.TraceBlob)
-		if _, err := os.Stat(bp); os.IsNotExist(err) {
-			// Content-addressed: an identical trace (the idempotent
-			// re-verification case) is stored once. Atomic write keeps a
-			// concurrent reader off torn blobs.
-			if err := witness.AtomicWriteFile(bp, trace); err != nil {
-				return err
-			}
-		}
-	}
 	line, err := json.Marshal(rec)
 	if err != nil {
 		return err
 	}
-	f, err := os.OpenFile(filepath.Join(l.dir, ledgerName),
-		os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if _, err := f.Write(append(line, '\n')); err != nil {
-		return err
-	}
-	return f.Close()
+	return cas.Append(filepath.Join(l.dir, ledgerName), tail, line)
 }
 
 // LoadTrace reads, verifies and decodes rec's trace blob. A record with no
@@ -398,12 +374,9 @@ func (l *Ledger) LoadTrace(rec *Record) ([]obs.Event, error) {
 	if rec.TraceBlob == "" {
 		return nil, nil
 	}
-	b, err := os.ReadFile(filepath.Join(l.dir, blobsDir, rec.TraceBlob))
+	b, err := cas.GetBlob(filepath.Join(l.dir, blobsDir), rec.TraceBlob)
 	if err != nil {
-		return nil, err
-	}
-	if witness.HashHex(b) != rec.TraceBlob {
-		return nil, fmt.Errorf("watch: record %s: trace blob corrupt (hash mismatch)", rec.ID)
+		return nil, fmt.Errorf("watch: record %s: trace %w", rec.ID, err)
 	}
 	return obs.ReadJSONL(bytes.NewReader(b))
 }

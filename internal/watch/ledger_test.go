@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/cas"
 	"repro/internal/obs"
 	"repro/internal/witness"
 )
@@ -56,7 +57,7 @@ func TestLedgerAppendChainsAndRoundTrips(t *testing.T) {
 	if r1.Deployment != "honest" {
 		t.Fatalf("Append did not stamp the ledger's deployment: %q", r1.Deployment)
 	}
-	if r1.TraceBlob != witness.HashHex(trace) {
+	if r1.TraceBlob != cas.HashHex(trace) {
 		t.Fatalf("blob address %q", r1.TraceBlob)
 	}
 
@@ -224,5 +225,48 @@ func TestCurrentBuildStampsToolchain(t *testing.T) {
 	}
 	if b.Label != "lbl" {
 		t.Errorf("label = %q", b.Label)
+	}
+}
+
+// A process killed mid-append leaves a torn final ledger line. Reads skip
+// it and report its length; the next append truncates it and chains onto
+// the last committed record.
+func TestLedgerRecoversTornTail(t *testing.T) {
+	led, err := OpenLedger(t.TempDir(), "d")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r1 := testRecord("d", true)
+	for _, r := range []*Record{r1, testRecord("d", false)} {
+		if err := led.Append(r, testTrace()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	path := filepath.Join(led.Dir(), "ledger.jsonl")
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, b[:len(b)-40], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	recs, tail, err := led.RecordsTail()
+	if err != nil || len(recs) != 1 || recs[0].ID != r1.ID {
+		t.Fatalf("torn ledger: %d records, err=%v", len(recs), err)
+	}
+	if want := len(b) - 40 - int(tail.Committed); tail.Dropped != want || want <= 0 {
+		t.Fatalf("tail %+v, want %d dropped bytes", tail, want)
+	}
+
+	r2 := testRecord("d", true)
+	if err := led.Append(r2, testTrace()); err != nil {
+		t.Fatal(err)
+	}
+	if r2.Seq != 2 || r2.PrevID != r1.ID {
+		t.Fatalf("append after a torn tail: seq=%d prev=%q, want 2 after %s", r2.Seq, r2.PrevID, r1.ID)
+	}
+	recs, tail, err = led.RecordsTail()
+	if err != nil || len(recs) != 2 || tail.Dropped != 0 {
+		t.Fatalf("repaired ledger: %d records, tail %+v, err=%v", len(recs), tail, err)
 	}
 }

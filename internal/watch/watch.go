@@ -224,6 +224,17 @@ type CheckOutcome struct {
 	Err        string  `json:"err,omitempty"`
 }
 
+// Recovered is the event-log line for a ledger whose torn final line (an
+// append a crash cut short) the check skipped and its append truncated:
+// crash damage, reported apart from tampering, which fails the check.
+type Recovered struct {
+	Event        string `json:"event"`
+	Time         int64  `json:"time"`
+	Deployment   string `json:"deployment"`
+	Ledger       string `json:"ledger"`
+	DroppedBytes int    `json:"droppedBytes"`
+}
+
 // CycleResult summarizes one full pass over the registry.
 type CycleResult struct {
 	Cycle        int    `json:"cycle"`
@@ -297,10 +308,16 @@ func (w *Watcher) CheckDeployment(d Deployment) (*Record, error) {
 		}
 	}
 
-	head, err := led.Head()
+	// One validated read serves drift and the append.
+	recs, tail, err := led.RecordsTail()
 	if err != nil {
 		return nil, fmt.Errorf("watch: %s: reading ledger: %w", d.Name, err)
 	}
+	if tail.Dropped > 0 {
+		w.logJSON(Recovered{Event: "recovered", Time: w.now().Unix(), Deployment: d.Name,
+			Ledger: tail.Path, DroppedBytes: tail.Dropped})
+	}
+	head := last(recs)
 	var prevTrace []obs.Event
 	if head != nil {
 		// A missing or corrupt blob degrades drift location (DivergeAt -1),
@@ -314,7 +331,7 @@ func (w *Watcher) CheckDeployment(d Deployment) (*Record, error) {
 	w.mu.Lock()
 	_ = w.loadRows()
 	w.mu.Unlock()
-	if err := led.Append(rec, blob); err != nil {
+	if err := led.append(rec, blob, head, tail); err != nil {
 		return nil, fmt.Errorf("watch: %s: appending record: %w", d.Name, err)
 	}
 	w.observe(d, rec)

@@ -71,9 +71,13 @@ func TestRegenerateWitnessCorpus(t *testing.T) {
 			t.Fatalf("committed corpus missing (run with REGEN_WITNESS_CORPUS=1): %v", err)
 		}
 		line := corpusValue(t, b)
-		if _, err := witness.ReadManifest(bytes.NewReader(line)); err != nil {
+		ws, err := witness.ReadManifest(bytes.NewReader(line))
+		if err != nil {
 			t.Fatalf("committed corpus entry no longer parses — schema drifted; "+
 				"regenerate with REGEN_WITNESS_CORPUS=1: %v", err)
+		}
+		if len(ws) != 1 {
+			t.Fatalf("committed corpus entry decodes to %d witnesses, want 1", len(ws))
 		}
 		return
 	}

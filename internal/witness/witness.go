@@ -24,6 +24,7 @@ import (
 	"encoding/json"
 	"fmt"
 
+	"repro/internal/cas"
 	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/separability"
@@ -281,7 +282,7 @@ func captureOne(sys model.Perturbable, port model.Portable, copt separability.Op
 		return nil, err
 	}
 	w.blob = blob
-	w.Snapshot = hashHex(blob)
+	w.Snapshot = cas.HashHex(blob)
 	w.Steps = make([]Step, len(ins))
 	for i, in := range ins {
 		b, err := port.EncodeInput(in)

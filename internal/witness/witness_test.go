@@ -1,6 +1,7 @@
 package witness_test
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -9,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/cas"
 	"repro/internal/kernel"
 	"repro/internal/model"
 	"repro/internal/obs"
@@ -177,7 +179,7 @@ func TestRetiredNoTranslateRecordReplays(t *testing.T) {
 		old := *w
 		old.System.NoTranslate = true
 		old.ID = ""
-		id, err := witness.ContentID(&old)
+		id, err := cas.ContentID(&old)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -241,7 +243,7 @@ func TestStaleDigestVersionAsksForRecapture(t *testing.T) {
 		}
 		old := *w
 		old.DigestVersion, old.ID = 0, ""
-		id, err := witness.ContentID(&old)
+		id, err := cas.ContentID(&old)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -382,5 +384,48 @@ func TestStoreRejectsTampering(t *testing.T) {
 	}
 	if err := loaded[0].LoadState(dir); err == nil {
 		t.Error("corrupt blob loaded without error")
+	}
+}
+
+// A capture killed mid-append leaves a torn final manifest line. Loading
+// must skip it as crash damage, not reject the store as tampered, and the
+// next capture into the directory must truncate it and succeed.
+func TestStoreRecoversTornManifest(t *testing.T) {
+	spec := verifysys.SpecFor("RegisterLeak", true, false)
+	sys := buildSpec(t, spec)
+	opt := leakOpt(false)
+	res := separability.CheckRandomized(sys, opt)
+	dir := t.TempDir()
+	wopt := witness.Options{Dir: dir, System: spec, MaxWitnesses: 2}
+	ws, err := witness.Capture(sys, opt, res, wopt)
+	if err != nil || len(ws) != 2 {
+		t.Fatalf("capture: %d witnesses, err=%v", len(ws), err)
+	}
+	mp := filepath.Join(dir, "manifest.jsonl")
+	b, err := os.ReadFile(mp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(mp, b[:len(b)-40], 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	loaded, tail, err := witness.LoadTail(dir)
+	if err != nil || len(loaded) != 1 || loaded[0].ID != ws[0].ID {
+		t.Fatalf("torn manifest: %d witnesses, err=%v", len(loaded), err)
+	}
+	if want := len(b) - 40 - int(tail.Committed); tail.Dropped != want || want <= 0 {
+		t.Fatalf("tail %+v, want %d dropped bytes", tail, want)
+	}
+
+	if _, err := witness.Capture(sys, opt, res, wopt); err != nil {
+		t.Fatalf("re-capture into a torn store: %v", err)
+	}
+	after, err := os.ReadFile(mp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(after, b) {
+		t.Errorf("re-capture did not restore the manifest byte for byte")
 	}
 }
